@@ -9,6 +9,7 @@
 package mdw
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -270,7 +271,7 @@ func BenchmarkListing1(b *testing.B) {
 	req.GroupBy = []string{"class", "object"}
 	var rows int
 	for i := 0; i < b.N; i++ {
-		res, err := req.Exec(f.st)
+		res, _, err := req.Exec(context.Background(), f.st, sparql.ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -327,7 +328,7 @@ func BenchmarkFigure8Lineage(b *testing.B) {
 		q := sparql.MustParse(`PREFIX dt: <` + rdf.DTNS + `>
 			SELECT ?s WHERE { ?s dt:isMappedTo* <` + target.Value + `> }`)
 		for i := 0; i < b.N; i++ {
-			if _, err := q.Exec(src, f.st.Dict()); err != nil {
+			if _, _, err := q.Exec(context.Background(), src, f.st.Dict(), sparql.ExecOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -370,7 +371,7 @@ func BenchmarkFigure8LineagePaper(b *testing.B) {
 			b.Run(qc.name+"/"+lv.label, func(b *testing.B) {
 				b.ReportMetric(float64(p.Parallelism()), "workers")
 				for i := 0; i < b.N; i++ {
-					if _, err := p.Exec(); err != nil {
+					if _, _, err := p.Exec(context.Background(), sparql.ExecOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -398,7 +399,7 @@ func BenchmarkListing2(b *testing.B) {
 	}
 	req.Select = []string{"source_id", "target_id", "target_name"}
 	for i := 0; i < b.N; i++ {
-		res, err := req.Exec(f.st)
+		res, _, err := req.Exec(context.Background(), f.st, sparql.ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -483,7 +484,7 @@ func BenchmarkOWLPrimeIndex(b *testing.B) {
 		src := f.st.ViewOf("DWH_CURR", idx)
 		var n string
 		for i := 0; i < b.N; i++ {
-			res, err := q.Exec(src, f.st.Dict())
+			res, _, err := q.Exec(context.Background(), src, f.st.Dict(), sparql.ExecOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -496,7 +497,7 @@ func BenchmarkOWLPrimeIndex(b *testing.B) {
 	b.Run("query-facts-only", func(b *testing.B) {
 		src := f.st.ViewOf("DWH_CURR")
 		for i := 0; i < b.N; i++ {
-			res, err := q.Exec(src, f.st.Dict())
+			res, _, err := q.Exec(context.Background(), src, f.st.Dict(), sparql.ExecOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -812,7 +813,7 @@ func BenchmarkViewUnionAblation(b *testing.B) {
 	b.Run("two-model-view", func(b *testing.B) {
 		src := f.st.ViewOf("DWH_CURR", idx)
 		for i := 0; i < b.N; i++ {
-			if _, err := q.Exec(src, f.st.Dict()); err != nil {
+			if _, _, err := q.Exec(context.Background(), src, f.st.Dict(), sparql.ExecOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -820,7 +821,7 @@ func BenchmarkViewUnionAblation(b *testing.B) {
 	b.Run("merged-model", func(b *testing.B) {
 		src := merged.ViewOf("all")
 		for i := 0; i < b.N; i++ {
-			if _, err := q.Exec(src, merged.Dict()); err != nil {
+			if _, _, err := q.Exec(context.Background(), src, merged.Dict(), sparql.ExecOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -893,7 +894,7 @@ func BenchmarkSPARQLJoin(b *testing.B) {
 			?y dm:hasName ?name .
 		}`)
 	for i := 0; i < b.N; i++ {
-		if _, err := q.Exec(src, f.st.Dict()); err != nil {
+		if _, _, err := q.Exec(context.Background(), src, f.st.Dict(), sparql.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

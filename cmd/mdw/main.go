@@ -401,10 +401,7 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := w.Query(fs.Arg(0))
-	if *factsOnly {
-		res, err = w.QueryFacts(fs.Arg(0))
-	}
+	res, _, err := w.Query(context.Background(), fs.Arg(0), core.QueryOptions{FactsOnly: *factsOnly})
 	if err != nil {
 		return err
 	}
@@ -437,13 +434,13 @@ func cmdExplain(args []string) error {
 	if err != nil {
 		return err
 	}
-	text := fs.Arg(0)
+	ctx, text := context.Background(), fs.Arg(0)
 	if *analyze {
 		var stats *sparql.ExecStats
 		if strings.Contains(text, "SEM_MATCH") {
-			_, stats, err = w.SemMatchAnalyzeCtx(context.Background(), text)
+			_, stats, err = w.SemMatch(ctx, text, sparql.ExecOptions{Analyze: true})
 		} else {
-			_, stats, err = w.QueryAnalyze(text)
+			_, stats, err = w.Query(ctx, text, core.QueryOptions{Analyze: true})
 		}
 		if err != nil {
 			return err
@@ -453,9 +450,9 @@ func cmdExplain(args []string) error {
 	}
 	var plan string
 	if strings.Contains(text, "SEM_MATCH") {
-		plan, err = w.ExplainSemMatch(text)
+		plan, err = w.ExplainSemMatch(ctx, text)
 	} else {
-		plan, err = w.Explain(text)
+		plan, err = w.Explain(ctx, text)
 	}
 	if err != nil {
 		return err
@@ -477,7 +474,7 @@ func cmdSemMatch(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := w.SemMatch(fs.Arg(0))
+	res, _, err := w.SemMatch(context.Background(), fs.Arg(0), sparql.ExecOptions{})
 	if err != nil {
 		return err
 	}
@@ -648,7 +645,7 @@ func cmdMetrics(args []string) error {
 		}
 		q := `PREFIX dm: <` + rdf.DMNS + `>
 SELECT ?n WHERE { ?x a dm:Attribute . ?x dm:hasName ?n }`
-		if _, err := w.Query(q); err != nil {
+		if _, _, err := w.Query(context.Background(), q, core.QueryOptions{}); err != nil {
 			return err
 		}
 		item := staging.InstanceIRI("application1", "dwhdb", "mart", "v_customer", "customer_id")
@@ -963,11 +960,7 @@ func topWorkload(w *core.Warehouse, runs int, analyzed bool) error {
 	}
 	l2.Select = []string{"source_id", "target_id", "target_name"}
 	run := func(req semmatch.Request) error {
-		if analyzed {
-			_, _, err := req.ExecAnalyze(w.Store())
-			return err
-		}
-		_, err := req.Exec(w.Store())
+		_, _, err := req.Exec(context.Background(), w.Store(), sparql.ExecOptions{Analyze: analyzed})
 		return err
 	}
 	for i := 0; i < runs; i++ {

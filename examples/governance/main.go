@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -89,13 +90,14 @@ func main() {
 	}
 
 	// 3. Technology phase-out impact: which applications still use Java 6?
-	qr, err := w.Query(`
+	q := `
 		PREFIX dm: <` + rdf.DMNS + `>
 		SELECT ?app ?v WHERE {
 			?a dm:usesTechnology <` + staging.InstanceIRI("tech", "java").Value + `> .
 			<` + staging.InstanceIRI("tech", "java").Value + `> dm:hasVersion ?v .
 			?a dm:hasName ?app .
-		} ORDER BY ?app`)
+		} ORDER BY ?app`
+	qr, _, err := w.Query(context.Background(), q, core.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

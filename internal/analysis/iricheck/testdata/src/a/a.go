@@ -3,6 +3,8 @@
 package a
 
 import (
+	"context"
+
 	"mdw/internal/rdf"
 	"mdw/internal/sparql"
 )
@@ -24,6 +26,10 @@ SELECT ?src WHERE { ?src dt:isMapedTo+ ?tgt . }
 
 func useTypoQuery() {
 	_ = sparql.MustParse(typoQuery) // want `mentions unknown term <http://www.credit-suisse.com/dwh/mdm/data_transfer#isMapedTo>`
+}
+
+func useTypoQueryCtx(ctx context.Context) {
+	_, _ = sparql.ParseCtx(ctx, typoQuery) // want `mentions unknown term <http://www.credit-suisse.com/dwh/mdm/data_transfer#isMapedTo>`
 }
 
 var keep = []string{badPName, badIRI, badRDFS}

@@ -32,13 +32,15 @@ type entryPoint struct {
 
 var entryPoints = []entryPoint{
 	{"mdw/internal/sparql", "Parse", 0, KindSPARQL},
+	{"mdw/internal/sparql", "ParseCtx", 1, KindSPARQL},
 	{"mdw/internal/sparql", "MustParse", 0, KindSPARQL},
-	{"mdw/internal/semmatch", "Exec", 1, KindSemMatch},
 	{"mdw/internal/semmatch", "ParseCall", 0, KindSemMatch},
-	// Warehouse façade methods forward verbatim to the parsers above.
-	{"mdw/internal/core", "Query", 0, KindSPARQL},
-	{"mdw/internal/core", "QueryFacts", 0, KindSPARQL},
-	{"mdw/internal/core", "SemMatch", 0, KindSemMatch},
+	// Warehouse façade methods forward verbatim to the parsers above;
+	// their query text follows the context argument.
+	{"mdw/internal/core", "Query", 1, KindSPARQL},
+	{"mdw/internal/core", "SemMatch", 1, KindSemMatch},
+	{"mdw/internal/core", "Explain", 1, KindSPARQL},
+	{"mdw/internal/core", "ExplainSemMatch", 1, KindSemMatch},
 }
 
 // CallSite is one discovered query call with a constant argument.

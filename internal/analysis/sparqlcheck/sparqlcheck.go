@@ -18,12 +18,12 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "sparqlcheck",
 	Doc: "parse constant SPARQL queries and SEM_MATCH calls at lint time\n\n" +
-		"Constant strings passed to sparql.Parse/MustParse, semmatch.Exec/ParseCall,\n" +
-		"and Warehouse.Query/QueryFacts/SemMatch are parsed with internal/sparql;\n" +
-		"syntax errors and unbound prefixes become diagnostics. Queries that parse\n" +
-		"are planned, and structural problems the planner notices — basic graph\n" +
-		"patterns that fall apart into variable-disjoint components (cartesian\n" +
-		"products) — are reported too.",
+		"Constant strings passed to sparql.Parse/ParseCtx/MustParse, semmatch.ParseCall,\n" +
+		"and Warehouse.Query/SemMatch/Explain/ExplainSemMatch are parsed with\n" +
+		"internal/sparql; syntax errors and unbound prefixes become diagnostics.\n" +
+		"Queries that parse are planned, and structural problems the planner\n" +
+		"notices — basic graph patterns that fall apart into variable-disjoint\n" +
+		"components (cartesian products) — are reported too.",
 	Run: run,
 }
 

@@ -2,9 +2,10 @@
 package b
 
 import (
-	"mdw/internal/semmatch"
+	"context"
+
+	"mdw/internal/core"
 	"mdw/internal/sparql"
-	"mdw/internal/store"
 )
 
 // listing1 mirrors the paper's search query: concept members by name.
@@ -42,8 +43,12 @@ func good() {
 	_ = sparql.MustParse(listing2)
 }
 
-func goodSemMatch(st *store.Store) {
-	_, _ = semmatch.Exec(st, paperCall)
+func goodSemMatch(ctx context.Context, w *core.Warehouse) {
+	_, _, _ = w.SemMatch(ctx, paperCall, sparql.ExecOptions{})
+}
+
+func goodCtxParse(ctx context.Context) (*sparql.Query, error) {
+	return sparql.ParseCtx(ctx, listing2)
 }
 
 // dynamic queries are out of sparqlcheck's reach and must not be

@@ -239,14 +239,9 @@ func (s *Service) nameOf(view *store.View, dict *store.Dict, id store.ID) string
 }
 
 func (s *Service) indexedView() (*store.View, error) {
-	idx := reason.IndexModelName(s.model, reason.RulebaseOWLPrime)
-	if !s.st.HasModel(idx) {
-		if !s.st.HasModel(s.model) {
-			return nil, fmt.Errorf("audit: no such model %q", s.model)
-		}
-		if _, _, err := reason.NewEngine(s.st).Materialize(s.model); err != nil {
-			return nil, err
-		}
+	idx, err := reason.EnsureCurrent(s.st, s.model)
+	if err != nil {
+		return nil, err
 	}
 	return s.st.ViewOf(s.model, idx), nil
 }

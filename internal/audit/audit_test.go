@@ -7,6 +7,7 @@ import (
 	"mdw/internal/landscape"
 	"mdw/internal/ontology"
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
 	"mdw/internal/staging"
 	"mdw/internal/store"
 )
@@ -52,6 +53,26 @@ func TestDirectAccess(t *testing.T) {
 	}
 	if roles["bob"] != "Administrator" || roles["carol"] != "Business_User" {
 		t.Errorf("roles = %v", roles)
+	}
+}
+
+// TestAuditSeesEntailmentAfterWrite: a column written after the index was
+// built resolves to its application through the transitive dm:partOf
+// closure, which only a re-materialized index holds.
+func TestAuditSeesEntailmentAfterWrite(t *testing.T) {
+	st := fixture(t)
+	if _, _, err := reason.NewEngine(st).Materialize("DWH_CURR"); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(st, "DWH_CURR")
+	col := item("application1/dwhdb/mart/v_customer/segment_id")
+	st.Add("DWH_CURR", rdf.T(col, rdf.IRI(rdf.MDWPartOf), item("application1/dwhdb/mart/v_customer")))
+	rep, err := svc.WhoCanAccess(col, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Apps) != 1 || rdf.LocalName(rep.Apps[0].Value) != "application1" {
+		t.Fatalf("apps = %v, want [application1]", rep.Apps)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -69,11 +70,11 @@ func ExampleWarehouse_Query() {
 	q := `PREFIX dm: <http://www.credit-suisse.com/dwh/mdm/data_modeling#>
 	      SELECT (COUNT(?x) AS ?n) WHERE { ?x a dm:Attribute }`
 
-	with, err := w.Query(q) // base facts ∪ OWLPRIME index
+	with, _, err := w.Query(context.Background(), q, core.QueryOptions{}) // base facts ∪ OWLPRIME index
 	if err != nil {
 		log.Fatal(err)
 	}
-	without, err := w.QueryFacts(q) // base facts only
+	without, _, err := w.Query(context.Background(), q, core.QueryOptions{FactsOnly: true}) // base facts only
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mdw/internal/landscape"
 	"mdw/internal/ontology"
 	"mdw/internal/rdf"
 	"mdw/internal/rescache"
+	"mdw/internal/sparql"
 	"mdw/internal/staging"
 )
 
@@ -55,13 +57,13 @@ func BenchmarkListing1Repeat(b *testing.B) {
 			defer rescache.Enable(0, 0)
 			w := benchWarehouse(b)
 			call := listing1()
-			if _, err := w.SemMatch(call); err != nil { // warm: plan + (maybe) cache fill
+			if _, _, err := w.SemMatch(context.Background(), call, sparql.ExecOptions{}); err != nil { // warm: plan + (maybe) cache fill
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.SemMatch(call); err != nil {
+				if _, _, err := w.SemMatch(context.Background(), call, sparql.ExecOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,7 +80,7 @@ func BenchmarkListing1Invalidated(b *testing.B) {
 	defer rescache.Enable(0, 0)
 	w := benchWarehouse(b)
 	call := listing1()
-	if _, err := w.SemMatch(call); err != nil {
+	if _, _, err := w.SemMatch(context.Background(), call, sparql.ExecOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -88,7 +90,7 @@ func BenchmarkListing1Invalidated(b *testing.B) {
 			rdf.IRI("http://bench/churn"),
 			rdf.IRI(rdf.MDWHasName),
 			rdf.Integer(int64(i)))})
-		if _, err := w.SemMatch(call); err != nil {
+		if _, _, err := w.SemMatch(context.Background(), call, sparql.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -145,7 +145,7 @@ func (w *Warehouse) TextIndexStats() []textindex.Stats {
 // Search runs the Section IV.A search service over the warehouse's
 // shared full-text index.
 func (w *Warehouse) Search(term string, opt search.Options) (*search.Result, error) {
-	return w.SearchCtx(context.Background(), term, opt)
+	return search.New(w.st, w.model, w.thesaurus).WithIndexManager(w.tix).Search(term, opt)
 }
 
 // SearchCtx is Search carrying a request context: under a traced request
@@ -157,7 +157,7 @@ func (w *Warehouse) SearchCtx(ctx context.Context, term string, opt search.Optio
 
 // Lineage runs the Section IV.B provenance service.
 func (w *Warehouse) Lineage(item rdf.Term, dir lineage.Direction, opt lineage.Options) (*lineage.Graph, error) {
-	return w.LineageCtx(context.Background(), item, dir, opt)
+	return lineage.New(w.st, w.model).Trace(item, dir, opt)
 }
 
 // LineageCtx is Lineage carrying a request context.
@@ -193,56 +193,25 @@ func (w *Warehouse) ImpactOfRelease(from, to int) (*impact.Analysis, error) {
 	return impact.New(w.st, w.hist).Analyze(from, to)
 }
 
+// QueryOptions selects how Warehouse.Query runs. The zero value queries
+// the base model plus its OWLPRIME index and may be served from the
+// results cache.
+type QueryOptions struct {
+	// Analyze returns the operator-level statistics of the executed plan
+	// (EXPLAIN ANALYZE); analyzed runs always execute.
+	Analyze bool
+	// FactsOnly queries the base facts without the OWLPRIME index — the
+	// paper's default when no rulebase is named.
+	FactsOnly bool
+}
+
 // Query parses and executes a SPARQL query against the base model plus
-// its OWLPRIME index (materializing it if needed).
-func (w *Warehouse) Query(query string) (*sparql.Result, error) {
-	return w.QueryCtx(context.Background(), query)
-}
-
-// QueryCtx is Query carrying a request context: the call runs under a
-// "warehouse.query" span — nested in the request's trace when ctx
-// carries one, the root of a new trace otherwise — with the "sparql
-// parse"/"sparql plan"/"sparql exec" spans of the engine (and a
-// "reindex" span when the entailment was stale) below it.
-func (w *Warehouse) QueryCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	root, ctx := obs.StartChildCtx(ctx, "warehouse.query")
-	defer root.Finish()
-	q, err := sparql.ParseCtx(ctx, query)
-	if err != nil {
-		root.SetLabel("error", "parse")
-		return nil, err
-	}
-	idx := reason.IndexModelName(w.model, reason.RulebaseOWLPrime)
-	// Re-materialize when the base model has mutated since the index was
-	// derived (the generation check catches both a missing and a stale
-	// index).
-	if !w.st.Current(w.model, idx) {
-		sp := root.Child("reindex")
-		_, err := w.Reindex()
-		sp.Finish()
-		if err != nil {
-			root.SetLabel("error", "reindex")
-			return nil, err
-		}
-	}
-	res, err := q.ExecCtx(ctx, w.st.ViewOf(w.model, idx), w.st.Dict())
-	if err == nil {
-		root.SetLabel("rows", strconv.Itoa(len(res.Rows)))
-	}
-	return res, err
-}
-
-// QueryAnalyze is QueryAnalyzeCtx with a background context.
-func (w *Warehouse) QueryAnalyze(query string) (*sparql.Result, *sparql.ExecStats, error) {
-	return w.QueryAnalyzeCtx(context.Background(), query)
-}
-
-// QueryAnalyzeCtx is QueryCtx with operator-level instrumentation
-// (EXPLAIN ANALYZE): the returned ExecStats mirrors the executed plan
-// with actual rows, loops, and wall time per operator, plus query-wide
-// resource accounting. It always executes — analyzed statistics never
-// come from the results cache.
-func (w *Warehouse) QueryAnalyzeCtx(ctx context.Context, query string) (*sparql.Result, *sparql.ExecStats, error) {
+// its OWLPRIME index, re-materialized first when missing or stale. The
+// call runs under a "warehouse.query" span — nested in the request's
+// trace when ctx carries one, the root of a new trace otherwise — with
+// the "sparql parse"/"sparql plan"/"sparql exec" spans of the engine
+// below it. The returned stats are non-nil only with opt.Analyze.
+func (w *Warehouse) Query(ctx context.Context, query string, opt QueryOptions) (*sparql.Result, *sparql.ExecStats, error) {
 	root, ctx := obs.StartChildCtx(ctx, "warehouse.query")
 	defer root.Finish()
 	q, err := sparql.ParseCtx(ctx, query)
@@ -250,95 +219,65 @@ func (w *Warehouse) QueryAnalyzeCtx(ctx context.Context, query string) (*sparql.
 		root.SetLabel("error", "parse")
 		return nil, nil, err
 	}
-	idx := reason.IndexModelName(w.model, reason.RulebaseOWLPrime)
-	if !w.st.Current(w.model, idx) {
-		sp := root.Child("reindex")
-		_, err := w.Reindex()
-		sp.Finish()
-		if err != nil {
-			root.SetLabel("error", "reindex")
-			return nil, nil, err
-		}
+	src, err := w.querySource(opt.FactsOnly)
+	if err != nil {
+		root.SetLabel("error", "reindex")
+		return nil, nil, err
 	}
-	res, stats, err := q.ExecAnalyzeCtx(ctx, w.st.ViewOf(w.model, idx), w.st.Dict())
+	res, stats, err := q.Exec(ctx, src, w.st.Dict(), sparql.ExecOptions{Analyze: opt.Analyze})
 	if err == nil {
 		root.SetLabel("rows", strconv.Itoa(len(res.Rows)))
 	}
 	return res, stats, err
 }
 
-// QueryFacts executes a SPARQL query against the base facts only — the
-// paper's default when no rulebase is named.
-func (w *Warehouse) QueryFacts(query string) (*sparql.Result, error) {
-	return w.QueryFactsCtx(context.Background(), query)
-}
-
-// QueryFactsCtx is QueryFacts carrying a request context.
-func (w *Warehouse) QueryFactsCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	q, err := sparql.ParseCtx(ctx, query)
+// querySource is the view Query and Explain run against: the base facts
+// alone, or the base model plus its up-to-date OWLPRIME index.
+func (w *Warehouse) querySource(factsOnly bool) (store.Source, error) {
+	if factsOnly {
+		return w.st.ViewOf(w.model), nil
+	}
+	idx, err := reason.EnsureCurrent(w.st, w.model)
 	if err != nil {
 		return nil, err
 	}
-	return q.ExecCtx(ctx, w.st.ViewOf(w.model), w.st.Dict())
+	return w.st.ViewOf(w.model, idx), nil
 }
 
-// QueryFactsAnalyzeCtx is QueryFactsCtx with operator-level
-// instrumentation (see QueryAnalyzeCtx).
-func (w *Warehouse) QueryFactsAnalyzeCtx(ctx context.Context, query string) (*sparql.Result, *sparql.ExecStats, error) {
-	q, err := sparql.ParseCtx(ctx, query)
+// SemMatch executes an Oracle-style SEM_MATCH call (Listings 1 and 2);
+// see semmatch.Request.Exec.
+func (w *Warehouse) SemMatch(ctx context.Context, call string, opt sparql.ExecOptions) (*sparql.Result, *sparql.ExecStats, error) {
+	req, err := semmatch.ParseCall(call)
 	if err != nil {
 		return nil, nil, err
 	}
-	return q.ExecAnalyzeCtx(ctx, w.st.ViewOf(w.model), w.st.Dict())
-}
-
-// SemMatch executes an Oracle-style SEM_MATCH call (Listings 1 and 2).
-func (w *Warehouse) SemMatch(call string) (*sparql.Result, error) {
-	return semmatch.Exec(w.st, call)
-}
-
-// SemMatchCtx is SemMatch carrying a request context.
-func (w *Warehouse) SemMatchCtx(ctx context.Context, call string) (*sparql.Result, error) {
-	return semmatch.ExecCtx(ctx, w.st, call)
-}
-
-// SemMatchAnalyzeCtx is SemMatchCtx with operator-level instrumentation
-// (see QueryAnalyzeCtx).
-func (w *Warehouse) SemMatchAnalyzeCtx(ctx context.Context, call string) (*sparql.Result, *sparql.ExecStats, error) {
-	return semmatch.ExecAnalyzeCtx(ctx, w.st, call)
+	return req.Exec(ctx, w.st, opt)
 }
 
 // Explain renders the evaluation plan Query would execute: the
 // statistics-driven join order with estimated cardinalities against the
-// base-plus-index view. The index is (re)materialized first so the plan
-// sees the same statistics execution would.
-func (w *Warehouse) Explain(query string) (string, error) {
-	return w.ExplainCtx(context.Background(), query)
-}
-
-// ExplainCtx is Explain carrying a request context.
-func (w *Warehouse) ExplainCtx(ctx context.Context, query string) (string, error) {
+// base-plus-index view. The index is brought up to date first so the
+// plan sees the same statistics execution would.
+func (w *Warehouse) Explain(ctx context.Context, query string) (string, error) {
 	q, err := sparql.ParseCtx(ctx, query)
 	if err != nil {
 		return "", err
 	}
-	idx := reason.IndexModelName(w.model, reason.RulebaseOWLPrime)
-	if !w.st.Current(w.model, idx) {
-		if _, err := w.Reindex(); err != nil {
-			return "", err
-		}
+	src, err := w.querySource(false)
+	if err != nil {
+		return "", err
 	}
-	return q.ExplainOn(w.st.ViewOf(w.model, idx), w.st.Dict()), nil
+	return q.ExplainOn(src, w.st.Dict()), nil
 }
 
 // ExplainSemMatch renders the evaluation plan of an Oracle-style
 // SEM_MATCH call with the model/rulebase view the call names.
-func (w *Warehouse) ExplainSemMatch(call string) (string, error) {
+func (w *Warehouse) ExplainSemMatch(ctx context.Context, call string) (string, error) {
 	req, err := semmatch.ParseCall(call)
 	if err != nil {
 		return "", err
 	}
-	return req.Explain(w.st)
+	return req.Explain(ctx, w.st)
 }
 
 // CloneModel clones model src ("" selects the base model) into dst via

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"mdw/internal/ontology"
 	"mdw/internal/rdf"
 	"mdw/internal/search"
+	"mdw/internal/sparql"
 	"mdw/internal/staging"
 )
 
@@ -99,11 +101,11 @@ func TestEndToEndLineage(t *testing.T) {
 func TestQueryWithAndWithoutIndex(t *testing.T) {
 	w := buildWarehouse(t)
 	q := `PREFIX dm: <` + rdf.DMNS + `> SELECT ?x WHERE { ?x a dm:Attribute }`
-	withIdx, err := w.Query(q)
+	withIdx, _, err := w.Query(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	factsOnly, err := w.QueryFacts(q)
+	factsOnly, _, err := w.Query(context.Background(), q, QueryOptions{FactsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,23 +115,23 @@ func TestQueryWithAndWithoutIndex(t *testing.T) {
 	if len(factsOnly.Rows) != 0 {
 		t.Errorf("facts-only query saw %d inferred rows", len(factsOnly.Rows))
 	}
-	if _, err := w.Query("NOT SPARQL"); err == nil {
+	if _, _, err := w.Query(context.Background(), "NOT SPARQL", QueryOptions{}); err == nil {
 		t.Error("bad query accepted")
 	}
-	if _, err := w.QueryFacts("NOT SPARQL"); err == nil {
+	if _, _, err := w.Query(context.Background(), "NOT SPARQL", QueryOptions{FactsOnly: true}); err == nil {
 		t.Error("bad facts query accepted")
 	}
 }
 
 func TestSemMatchListing(t *testing.T) {
 	w := buildWarehouse(t)
-	res, err := w.SemMatch(`SEM_MATCH(
+	res, _, err := w.SemMatch(context.Background(), `SEM_MATCH(
 		{?object rdf:type dm:Application1_View_Column .
 		 ?object dm:hasName ?term},
 		SEM_MODELS('DWH_CURR'),
 		SEM_RULEBASES('OWLPRIME'),
-		SEM_ALIASES(SEM_ALIAS('dm', '` + rdf.DMNS + `')),
-		null)`)
+		SEM_ALIASES(SEM_ALIAS('dm', '`+rdf.DMNS+`')),
+		null)`, sparql.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +211,8 @@ func TestLoadInvalidatesIndex(t *testing.T) {
 		rdf.T(rdf.IRI(rdf.DMNS+"Fresh"), rdf.SubClassOf, rdf.IRI(rdf.DMNS+"Attribute")),
 		rdf.T(rdf.IRI(rdf.InstNS+"fresh1"), rdf.Type, rdf.IRI(rdf.DMNS+"Fresh")),
 	})
-	res, err := w.Query(`PREFIX dm: <` + rdf.DMNS + `> PREFIX inst: <` + rdf.InstNS + `>
-		ASK { inst:fresh1 a dm:Attribute }`)
+	res, _, err := w.Query(context.Background(), `PREFIX dm: <`+rdf.DMNS+`> PREFIX inst: <`+rdf.InstNS+`>
+		ASK { inst:fresh1 a dm:Attribute }`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -440,29 +440,13 @@ func (s *Server) handleQuery(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("missing ?q"))
 		return
 	}
-	factsOnly := r.URL.Query().Get("facts") == "only"
-	var res *sparql.Result
-	var stats *sparql.ExecStats
-	var err error
-	switch {
-	case wantAnalyze(r) && factsOnly:
-		res, stats, err = s.w.QueryFactsAnalyzeCtx(r.Context(), q)
-	case wantAnalyze(r):
-		res, stats, err = s.w.QueryAnalyzeCtx(r.Context(), q)
-	case factsOnly:
-		res, err = s.w.QueryFactsCtx(r.Context(), q)
-	default:
-		res, err = s.w.QueryCtx(r.Context(), q)
-	}
+	opt := core.QueryOptions{Analyze: wantAnalyze(r), FactsOnly: r.URL.Query().Get("facts") == "only"}
+	res, stats, err := s.w.Query(r.Context(), q, opt)
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	resp := QueryResponse{Vars: res.Vars}
-	if stats != nil {
-		resp.Stats = stats
-		resp.AnalyzedPlan = stats.String()
-	}
+	resp := queryResponse(res, stats)
 	if len(res.Triples) > 0 {
 		for _, tr := range res.Triples {
 			resp.Triples = append(resp.Triples, tr.NTriple())
@@ -470,13 +454,6 @@ func (s *Server) handleQuery(rw http.ResponseWriter, r *http.Request) {
 	} else if len(res.Vars) == 0 && len(res.Rows) == 0 {
 		ask := res.Ask
 		resp.Ask = &ask
-	}
-	for _, b := range res.Rows {
-		row := map[string]string{}
-		for v, t := range b {
-			row[v] = t.Value
-		}
-		resp.Rows = append(resp.Rows, row)
 	}
 	writeJSON(rw, http.StatusOK, resp)
 }
@@ -489,17 +466,18 @@ func (s *Server) handleSemMatch(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	var res *sparql.Result
-	var stats *sparql.ExecStats
-	if wantAnalyze(r) {
-		res, stats, err = s.w.SemMatchAnalyzeCtx(r.Context(), string(body))
-	} else {
-		res, err = s.w.SemMatchCtx(r.Context(), string(body))
-	}
+	res, stats, err := s.w.SemMatch(r.Context(), string(body), sparql.ExecOptions{Analyze: wantAnalyze(r)})
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
+	writeJSON(rw, http.StatusOK, queryResponse(res, stats))
+}
+
+// queryResponse converts a result's variables and rows, plus its stats
+// when the run was analyzed, to the JSON shape both query endpoints
+// return.
+func queryResponse(res *sparql.Result, stats *sparql.ExecStats) QueryResponse {
 	resp := QueryResponse{Vars: res.Vars}
 	if stats != nil {
 		resp.Stats = stats
@@ -512,7 +490,7 @@ func (s *Server) handleSemMatch(rw http.ResponseWriter, r *http.Request) {
 		}
 		resp.Rows = append(resp.Rows, row)
 	}
-	writeJSON(rw, http.StatusOK, resp)
+	return resp
 }
 
 // --- stats / versions ---

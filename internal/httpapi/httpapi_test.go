@@ -1,11 +1,15 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -15,10 +19,18 @@ import (
 	"mdw/internal/landscape"
 	"mdw/internal/obs"
 	"mdw/internal/ontology"
+	"mdw/internal/sparql"
 	"mdw/internal/staging"
 )
 
 func testServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(NewServer(testWarehouse(t)))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+func testWarehouse(t *testing.T) *core.Warehouse {
 	t.Helper()
 	w := core.New("")
 	if _, err := w.LoadOntology(ontology.DWH()); err != nil {
@@ -31,9 +43,7 @@ func testServer(t *testing.T) *httptest.Server {
 	if _, err := w.Snapshot("2009-R1", time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC)); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(w))
-	t.Cleanup(srv.Close)
-	return srv
+	return w
 }
 
 func getJSON(t *testing.T, srv *httptest.Server, path string, out any) int {
@@ -173,6 +183,166 @@ func TestQueryEndpoint(t *testing.T) {
 	if code := getJSON(t, srv, "/api/query", nil); code != 400 {
 		t.Errorf("missing q: %d", code)
 	}
+}
+
+// TestQueryAnalyzeMatrix drives /api/query over facts=only × analyze=1
+// and /api/semmatch over analyze=1. Every response carries the rows of
+// the direct core call; stats and analyzedPlan are present exactly when
+// analyze is set, and a plain response keeps its vars/rows field set.
+func TestQueryAnalyzeMatrix(t *testing.T) {
+	w := testWarehouse(t)
+	srv := httptest.NewServer(NewServer(w))
+	t.Cleanup(srv.Close)
+	ctx := context.Background()
+	// Facts-only sees the asserted class, the full view the inherited
+	// ones too, so the two views return different non-empty rows.
+	q := `PREFIX dm: <http://www.credit-suisse.com/dwh/mdm/data_modeling#>
+		SELECT ?x ?c WHERE { ?x a ?c . ?x dm:hasName "customer_id" }`
+	call := `SEM_MATCH(
+		{?object rdf:type dm:Attribute .
+		 ?object dm:hasName ?term},
+		SEM_MODELS('DWH_CURR'),
+		SEM_RULEBASES('OWLPRIME'),
+		SEM_ALIASES(SEM_ALIAS('dm', 'http://www.credit-suisse.com/dwh/mdm/data_modeling#')),
+		null)`
+	type tc struct {
+		name    string
+		req     func() (*http.Response, error)
+		direct  func() (*sparql.Result, *sparql.ExecStats, error)
+		analyze bool
+	}
+	var cases []tc
+	for _, facts := range []bool{false, true} {
+		for _, analyze := range []bool{false, true} {
+			path := "/api/query?q=" + url.QueryEscape(q)
+			if facts {
+				path += "&facts=only"
+			}
+			if analyze {
+				path += "&analyze=1"
+			}
+			opt := core.QueryOptions{FactsOnly: facts}
+			cases = append(cases, tc{
+				name:    fmt.Sprintf("query facts=%v analyze=%v", facts, analyze),
+				req:     func() (*http.Response, error) { return http.Get(srv.URL + path) },
+				direct:  func() (*sparql.Result, *sparql.ExecStats, error) { return w.Query(ctx, q, opt) },
+				analyze: analyze,
+			})
+		}
+	}
+	for _, analyze := range []bool{false, true} {
+		path := "/api/semmatch"
+		if analyze {
+			path += "?analyze=1"
+		}
+		cases = append(cases, tc{
+			name:    fmt.Sprintf("semmatch analyze=%v", analyze),
+			req:     func() (*http.Response, error) { return http.Post(srv.URL+path, "text/plain", strings.NewReader(call)) },
+			direct:  func() (*sparql.Result, *sparql.ExecStats, error) { return w.SemMatch(ctx, call, sparql.ExecOptions{}) },
+			analyze: analyze,
+		})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, _, err := c.direct()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Rows) == 0 {
+				t.Fatal("direct call returned no rows; the comparison would be vacuous")
+			}
+			resp, err := c.req()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != 200 {
+				t.Fatalf("status = %d: %s", resp.StatusCode, body)
+			}
+			var res QueryResponse
+			if err := json.Unmarshal(body, &res); err != nil {
+				t.Fatal(err)
+			}
+			if got, exp := responseRows(res.Rows), resultRows(want); !reflect.DeepEqual(got, exp) {
+				t.Errorf("rows = %v, direct call = %v", got, exp)
+			}
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(body, &fields); err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]string, 0, len(fields))
+			for k := range fields {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			wantKeys := []string{"rows", "vars"}
+			if c.analyze {
+				wantKeys = []string{"analyzedPlan", "rows", "stats", "vars"}
+				if res.Stats == nil || res.AnalyzedPlan == "" {
+					t.Errorf("analyzed response lacks stats or plan: stats=%v plan=%q", res.Stats, res.AnalyzedPlan)
+				}
+			}
+			if !reflect.DeepEqual(keys, wantKeys) {
+				t.Errorf("fields = %v, want %v", keys, wantKeys)
+			}
+		})
+	}
+}
+
+// TestSemMatchEmptyResultFields: a SEM_MATCH call matching nothing keeps
+// the plain vars/rows field set (no ASK-shaped "ask" field).
+func TestSemMatchEmptyResultFields(t *testing.T) {
+	srv := testServer(t)
+	call := `SEM_MATCH({?x dm:hasName 'no_such_name'}, SEM_MODELS('DWH_CURR'), SEM_RULEBASES('OWLPRIME'),
+		SEM_ALIASES(SEM_ALIAS('dm', 'http://www.credit-suisse.com/dwh/mdm/data_modeling#')), null)`
+	resp, err := http.Post(srv.URL+"/api/semmatch", "text/plain", strings.NewReader(call))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fields map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["ask"]; ok || resp.StatusCode != 200 || len(fields) != 2 {
+		t.Errorf("status %d, fields %v; want 200 with vars and rows only", resp.StatusCode, fields)
+	}
+}
+
+// responseRows renders JSON result rows as sorted "var=value" lines.
+func responseRows(rows []map[string]string) []string {
+	out := []string{}
+	for _, r := range rows {
+		vars := make([]string, 0, len(r))
+		for v := range r {
+			vars = append(vars, v)
+		}
+		sort.Strings(vars)
+		var b strings.Builder
+		for _, v := range vars {
+			fmt.Fprintf(&b, "%s=%s;", v, r[v])
+		}
+		out = append(out, b.String())
+	}
+	sort.Strings(out)
+	return out
+}
+
+// resultRows renders an engine result the way responseRows renders JSON.
+func resultRows(res *sparql.Result) []string {
+	rows := make([]map[string]string, 0, len(res.Rows))
+	for _, b := range res.Rows {
+		r := map[string]string{}
+		for v, t := range b {
+			r[v] = t.Value
+		}
+		rows = append(rows, r)
+	}
+	return responseRows(rows)
 }
 
 func TestStatsAndVersionsEndpoints(t *testing.T) {

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"io"
 	"net/http"
 	"strconv"
 	"testing"
@@ -27,6 +28,9 @@ func TestTraceHeaderAndSingleTrace(t *testing.T) {
 	startedBefore := obs.DefaultTracer().Started()
 
 	resp := get(t, srv.URL+"/api/search?term=customer&via=sparql")
+	// Read the body to its end: the last chunk is written only after the
+	// handler returned, and so after the request's trace was published.
+	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("search status = %d", resp.StatusCode)

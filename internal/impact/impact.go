@@ -176,11 +176,9 @@ func containerOfClass(view *store.View, dict *store.Dict, id store.ID, classIRI 
 }
 
 func (a *Analyzer) indexedView() (*store.View, error) {
-	idx := reason.IndexModelName(a.model, reason.RulebaseOWLPrime)
-	if !a.st.HasModel(idx) {
-		if _, _, err := reason.NewEngine(a.st).Materialize(a.model); err != nil {
-			return nil, err
-		}
+	idx, err := reason.EnsureCurrent(a.st, a.model)
+	if err != nil {
+		return nil, err
 	}
 	return a.st.ViewOf(a.model, idx), nil
 }

@@ -9,6 +9,7 @@ import (
 	"mdw/internal/landscape"
 	"mdw/internal/ontology"
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
 	"mdw/internal/staging"
 	"mdw/internal/store"
 )
@@ -88,6 +89,46 @@ func TestAnalyzeFindsAffectedReports(t *testing.T) {
 	if len(an.Reports) != 1 || rdf.LocalName(an.Reports[0].Value) != "q3_customer_report" {
 		t.Errorf("reports = %v", an.Reports)
 	}
+}
+
+// TestAnalyzeSeesEntailmentAfterWrite: a column written after the index
+// was built rolls up to its application through the transitive
+// dm:partOf closure, which only a re-materialized index holds.
+func TestAnalyzeSeesEntailmentAfterWrite(t *testing.T) {
+	st, h := fixture(t)
+	app := staging.InstanceIRI("reporting")
+	db := staging.InstanceIRI("reporting", "rptdb")
+	col := staging.InstanceIRI("reporting", "rptdb", "client_feed")
+	st.AddAll("m", []rdf.Triple{
+		rdf.T(app, rdf.Type, rdf.IRI(rdf.DMNS+"Application")),
+		rdf.T(db, rdf.IRI(rdf.MDWPartOf), app),
+	})
+	if _, _, err := reason.NewEngine(st).Materialize("m"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Snapshot("R3", day(60)); err != nil {
+		t.Fatal(err)
+	}
+	// Release 4 feeds the source column into a new column of the
+	// reporting application.
+	src := staging.InstanceIRI("pb_frontend", "pbdb", "clients", "client_info", "client_information_id")
+	st.AddAll("m", []rdf.Triple{
+		rdf.T(col, rdf.IRI(rdf.MDWPartOf), db),
+		rdf.T(src, rdf.IsMappedTo, col),
+	})
+	if _, err := h.Snapshot("R4", day(90)); err != nil {
+		t.Fatal(err)
+	}
+	an, err := New(st, h).Analyze(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range an.Applications {
+		if a == app {
+			return
+		}
+	}
+	t.Errorf("applications = %v, want the reporting application included", an.Applications)
 }
 
 func TestAnalyzeNoChanges(t *testing.T) {

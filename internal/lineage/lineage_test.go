@@ -7,6 +7,7 @@ import (
 	"mdw/internal/landscape"
 	"mdw/internal/ontology"
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
 	"mdw/internal/staging"
 	"mdw/internal/store"
 )
@@ -65,6 +66,37 @@ func TestBackwardLineageFigure8(t *testing.T) {
 	if !found {
 		t.Errorf("customer_id classes missing inherited Attribute: %v", classes)
 	}
+}
+
+// TestTraceSeesEntailmentAfterWrite: a column written after the index was
+// built shows its inherited classes, which only a re-materialized index
+// holds.
+func TestTraceSeesEntailmentAfterWrite(t *testing.T) {
+	st := fixture(t)
+	if _, _, err := reason.NewEngine(st).Materialize("DWH_CURR"); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(st, "DWH_CURR")
+	customerID := pathTerm(landscape.Figure3Paths()[3])
+	feed := rdf.IRI(rdf.InstNS + "feed_id")
+	st.AddAll("DWH_CURR", []rdf.Triple{
+		rdf.T(feed, rdf.IsMappedTo, customerID),
+		rdf.T(feed, rdf.Type, rdf.IRI(rdf.DMNS+"Application1_View_Column")),
+	})
+	g, err := svc.Trace(customerID, Backward, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, ok := g.Nodes[feed]
+	if !ok {
+		t.Fatalf("new upstream column missing from %v", g.Nodes)
+	}
+	for _, c := range n.Classes {
+		if c == rdf.DMNS+"Attribute" {
+			return
+		}
+	}
+	t.Errorf("new column classes lack the inherited Attribute: %v", n.Classes)
 }
 
 func TestForwardLineageImpact(t *testing.T) {

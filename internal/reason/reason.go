@@ -89,6 +89,24 @@ func NewEngine(st *store.Store) *Engine {
 	}
 }
 
+// EnsureCurrent returns the name of model's OWLPRIME index model after
+// making sure it reflects the model's present generation: a missing or
+// stale index is re-materialized, a missing model is an error. It is the
+// one place readers decide entailment freshness; a writer racing the
+// call may leave the index stale again by the time it is read, which
+// callers that need a consistent snapshot detect with the basis
+// recorded on the index model (store.ModelInfo).
+func EnsureCurrent(st *store.Store, model string) (string, error) {
+	idxName := IndexModelName(model, RulebaseOWLPrime)
+	if st.Current(model, idxName) {
+		return idxName, nil
+	}
+	if _, _, err := NewEngine(st).Materialize(model); err != nil {
+		return "", err
+	}
+	return idxName, nil
+}
+
 // Materialize computes the OWLPRIME entailment of the named model and
 // stores the *derived-only* triples in the corresponding index model,
 // replacing any previous contents. It returns the index model name and

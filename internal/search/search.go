@@ -197,18 +197,13 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 		}
 	}
 
-	idxName := reason.IndexModelName(s.model, reason.RulebaseOWLPrime)
 	for attempt := 0; ; attempt++ {
-		if !s.st.HasModel(s.model) {
-			return nil, fmt.Errorf("search: no such model %q", s.model)
-		}
 		// Bring the entailment up to date outside the read lock
 		// (Materialize snapshots the base and swaps the index model in
 		// atomically).
-		if !s.st.Current(s.model, idxName) {
-			if _, _, err := reason.NewEngine(s.st).Materialize(s.model); err != nil {
-				return nil, err
-			}
+		idxName, err := reason.EnsureCurrent(s.st, s.model)
+		if err != nil {
+			return nil, fmt.Errorf("search: %w", err)
 		}
 		if !opt.ForceScan && !opt.ViaSPARQL {
 			// Bring the full-text index up to date before taking the read
@@ -218,7 +213,6 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 			ensureFresh(s.st, s.model, idxName, s.tix, false)
 		}
 		var res *Result
-		var err error
 		done := false
 		s.st.ReadView(func(v *store.View, infos []store.ModelInfo) {
 			if !infos[0].Exists {
@@ -263,15 +257,10 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 // index as needed. It fails only when the model is missing or keeps
 // mutating faster than it can be indexed.
 func EnsureIndex(st *store.Store, model string, mgr *textindex.Manager) (*textindex.Index, error) {
-	idxName := reason.IndexModelName(model, reason.RulebaseOWLPrime)
 	for attempt := 0; attempt <= maxFreshAttempts; attempt++ {
-		if !st.HasModel(model) {
-			return nil, fmt.Errorf("search: no such model %q", model)
-		}
-		if !st.Current(model, idxName) {
-			if _, _, err := reason.NewEngine(st).Materialize(model); err != nil {
-				return nil, err
-			}
+		idxName, err := reason.EnsureCurrent(st, model)
+		if err != nil {
+			return nil, fmt.Errorf("search: %w", err)
 		}
 		if ix := ensureFresh(st, model, idxName, mgr, true); ix != nil {
 			return ix, nil
@@ -406,7 +395,7 @@ func (s *Service) searchView(ctx context.Context, v *store.View, ix *textindex.I
 					sparqlErr = fmt.Errorf("search: via-sparql parse: %w", err)
 					return
 				}
-				res, err := q.ExecCtx(ctx, v, dict)
+				res, _, err := q.Exec(ctx, v, dict, sparql.ExecOptions{})
 				if err != nil {
 					sparqlErr = fmt.Errorf("search: via-sparql exec: %w", err)
 					return

@@ -1,6 +1,9 @@
 package semmatch
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // Golden plans for the paper's two listings. The rendering comes from
 // the same Plan structure Exec runs, so these tests pin down the
@@ -21,7 +24,7 @@ func TestListing1Plan(t *testing.T) {
 		Select:    []string{"class", "object"},
 		GroupBy:   []string{"class", "object"},
 	}
-	got, err := req.Explain(st)
+	got, err := req.Explain(context.Background(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +52,7 @@ func TestListing2Plan(t *testing.T) {
 		Aliases:   PaperAliases(),
 		Select:    []string{"source_id", "target_id", "target_name"},
 	}
-	got, err := req.Explain(st)
+	got, err := req.Explain(context.Background(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +69,10 @@ func TestListing2Plan(t *testing.T) {
 
 func TestExplainErrors(t *testing.T) {
 	st := fixture()
-	if _, err := (Request{Pattern: "?s ?p ?o"}).Explain(st); err == nil {
+	if _, err := (Request{Pattern: "?s ?p ?o"}).Explain(context.Background(), st); err == nil {
 		t.Error("no models should error")
 	}
-	if _, err := (Request{Pattern: "?s ?p ?o", Models: []string{"nope"}}).Explain(st); err == nil {
+	if _, err := (Request{Pattern: "?s ?p ?o", Models: []string{"nope"}}).Explain(context.Background(), st); err == nil {
 		t.Error("missing model should error")
 	}
 }

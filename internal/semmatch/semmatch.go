@@ -6,7 +6,8 @@
 //
 // Execution semantics follow Section III.B: without a rulebase only the
 // base model facts are visible; naming OWLPRIME unions each model with
-// its materialized index model (materializing it on first use).
+// its materialized index model (re-materializing it when it is missing
+// or stale).
 package semmatch
 
 import (
@@ -44,39 +45,13 @@ type Request struct {
 	Distinct bool
 }
 
-// Exec runs the request against st. Index models for requested rulebases
-// are materialized on demand.
-func (r Request) Exec(st *store.Store) (*sparql.Result, error) {
-	return r.ExecCtx(context.Background(), st)
-}
-
-// ExecCtx is Exec carrying a request context: the call runs under a
+// Exec runs the request against st. Index models for requested
+// rulebases are brought up to date on demand. The call runs under a
 // "semmatch" span — nested in the request's trace when ctx carries one,
 // the root of a new trace otherwise — with the SPARQL parse/plan/exec
-// spans below it.
-func (r Request) ExecCtx(ctx context.Context, st *store.Store) (*sparql.Result, error) {
-	sp, ctx := obs.StartChildCtx(ctx, "semmatch")
-	defer sp.Finish()
-	src, err := r.source(st)
-	if err != nil {
-		return nil, err
-	}
-	q, err := sparql.ParseCtx(ctx, r.QueryText())
-	if err != nil {
-		return nil, err
-	}
-	return q.ExecCtx(ctx, src, st.Dict())
-}
-
-// ExecAnalyze is ExecAnalyzeCtx with a background context.
-func (r Request) ExecAnalyze(st *store.Store) (*sparql.Result, *sparql.ExecStats, error) {
-	return r.ExecAnalyzeCtx(context.Background(), st)
-}
-
-// ExecAnalyzeCtx is ExecCtx with operator-level instrumentation: the
-// returned ExecStats carries actual rows, loops, and wall time for every
-// operator of the plan the call executed (EXPLAIN ANALYZE).
-func (r Request) ExecAnalyzeCtx(ctx context.Context, st *store.Store) (*sparql.Result, *sparql.ExecStats, error) {
+// spans below it. opt.Analyze returns the operator-level statistics of
+// the executed plan (EXPLAIN ANALYZE); see sparql.Query.Exec.
+func (r Request) Exec(ctx context.Context, st *store.Store, opt sparql.ExecOptions) (*sparql.Result, *sparql.ExecStats, error) {
 	sp, ctx := obs.StartChildCtx(ctx, "semmatch")
 	defer sp.Finish()
 	src, err := r.source(st)
@@ -87,20 +62,20 @@ func (r Request) ExecAnalyzeCtx(ctx context.Context, st *store.Store) (*sparql.R
 	if err != nil {
 		return nil, nil, err
 	}
-	return q.ExecAnalyzeCtx(ctx, src, st.Dict())
+	return q.Exec(ctx, src, st.Dict(), opt)
 }
 
 // Explain renders the evaluation plan the request would execute —
 // the statistics-driven join order with estimated cardinalities against
 // the request's model view. It is the same Plan structure Exec runs.
-// Index models are materialized on demand exactly as Exec would, so the
+// Index models are brought up to date exactly as Exec would, so the
 // explained plan sees the statistics execution would see.
-func (r Request) Explain(st *store.Store) (string, error) {
+func (r Request) Explain(ctx context.Context, st *store.Store) (string, error) {
 	src, err := r.source(st)
 	if err != nil {
 		return "", err
 	}
-	q, err := sparql.Parse(r.QueryText())
+	q, err := sparql.ParseCtx(ctx, r.QueryText())
 	if err != nil {
 		return "", err
 	}
@@ -108,8 +83,8 @@ func (r Request) Explain(st *store.Store) (string, error) {
 }
 
 // source resolves the request's SEM_MODELS/SEM_RULEBASES combination to
-// the union view execution runs against, materializing index models on
-// demand.
+// the union view execution runs against, bringing index models up to
+// date on demand.
 func (r Request) source(st *store.Store) (store.Source, error) {
 	if len(r.Models) == 0 {
 		return nil, fmt.Errorf("semmatch: no models given")
@@ -125,12 +100,10 @@ func (r Request) source(st *store.Store) (store.Source, error) {
 			return nil, fmt.Errorf("semmatch: no such model %q", m)
 		}
 		names = append(names, m)
-		for _, rb := range r.Rulebases {
-			idx := reason.IndexModelName(m, rb)
-			if !st.HasModel(idx) {
-				if _, _, err := reason.NewEngine(st).Materialize(m); err != nil {
-					return nil, fmt.Errorf("semmatch: materializing %s: %w", idx, err)
-				}
+		if len(r.Rulebases) > 0 {
+			idx, err := reason.EnsureCurrent(st, m)
+			if err != nil {
+				return nil, fmt.Errorf("semmatch: %w", err)
 			}
 			names = append(names, idx)
 		}
@@ -182,8 +155,8 @@ func (r Request) QueryText() string {
 	return b.String()
 }
 
-// Exec parses a textual SEM_MATCH call and runs it. The accepted syntax
-// is the argument list of the listings:
+// ParseCall parses the textual SEM_MATCH argument list into a Request.
+// The accepted syntax is the argument list of the listings:
 //
 //	SEM_MATCH(
 //	  {?s dt:isMappedTo ?t . ...},
@@ -193,30 +166,6 @@ func (r Request) QueryText() string {
 //	  null)
 //
 // with an optional leading "SEM_MATCH(" and trailing ")".
-func Exec(st *store.Store, call string) (*sparql.Result, error) {
-	return ExecCtx(context.Background(), st, call)
-}
-
-// ExecCtx is Exec carrying a request context (see Request.ExecCtx).
-func ExecCtx(ctx context.Context, st *store.Store, call string) (*sparql.Result, error) {
-	req, err := ParseCall(call)
-	if err != nil {
-		return nil, err
-	}
-	return req.ExecCtx(ctx, st)
-}
-
-// ExecAnalyzeCtx parses a textual SEM_MATCH call and runs it analyzed
-// (see Request.ExecAnalyzeCtx).
-func ExecAnalyzeCtx(ctx context.Context, st *store.Store, call string) (*sparql.Result, *sparql.ExecStats, error) {
-	req, err := ParseCall(call)
-	if err != nil {
-		return nil, nil, err
-	}
-	return req.ExecAnalyzeCtx(ctx, st)
-}
-
-// ParseCall parses the textual SEM_MATCH argument list into a Request.
 func ParseCall(call string) (*Request, error) {
 	s := strings.TrimSpace(call)
 	if i := strings.Index(s, "SEM_MATCH"); i >= 0 {

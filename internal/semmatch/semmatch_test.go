@@ -1,9 +1,11 @@
 package semmatch
 
 import (
+	"context"
 	"testing"
 
 	"mdw/internal/rdf"
+	"mdw/internal/sparql"
 	"mdw/internal/store"
 )
 
@@ -30,7 +32,7 @@ func TestRequestWithoutRulebaseSeesOnlyFacts(t *testing.T) {
 		Models:  []string{"DWH_CURR"},
 		Aliases: PaperAliases(),
 	}
-	res, err := req.Exec(st)
+	res, _, err := req.Exec(context.Background(), st, sparql.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestRequestWithRulebaseSeesInferred(t *testing.T) {
 		Rulebases: []string{"OWLPRIME"},
 		Aliases:   PaperAliases(),
 	}
-	res, err := req.Exec(st)
+	res, _, err := req.Exec(context.Background(), st, sparql.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,15 +61,44 @@ func TestRequestWithRulebaseSeesInferred(t *testing.T) {
 	}
 }
 
+// TestRequestSeesEntailmentAfterWrite: a write that yields a derived fact
+// is visible to the next OWLPRIME request. The index model already
+// exists after the first call, so only a freshness check — not an
+// existence check — re-materializes it.
+func TestRequestSeesEntailmentAfterWrite(t *testing.T) {
+	st := fixture()
+	req := Request{
+		Pattern:   `?x rdf:type dm:Attribute`,
+		Models:    []string{"DWH_CURR"},
+		Rulebases: []string{"OWLPRIME"},
+		Aliases:   PaperAliases(),
+	}
+	rows := func() int {
+		t.Helper()
+		res, _, err := req.Exec(context.Background(), st, sparql.ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Rows)
+	}
+	if n := rows(); n != 1 {
+		t.Fatalf("before the write rows = %d, want 1", n)
+	}
+	st.Add("DWH_CURR", rdf.T(rdf.IRI(rdf.InstNS+"account_id"), rdf.Type, rdf.IRI(rdf.DMNS+"Application1_View_Column")))
+	if n := rows(); n != 2 {
+		t.Errorf("after the write rows = %d, want 2 (the new column's inferred dm:Attribute type)", n)
+	}
+}
+
 func TestRequestErrors(t *testing.T) {
 	st := fixture()
-	if _, err := (Request{Pattern: "?s ?p ?o"}).Exec(st); err == nil {
+	if _, _, err := (Request{Pattern: "?s ?p ?o"}).Exec(context.Background(), st, sparql.ExecOptions{}); err == nil {
 		t.Error("no models should error")
 	}
-	if _, err := (Request{Pattern: "?s ?p ?o", Models: []string{"nope"}}).Exec(st); err == nil {
+	if _, _, err := (Request{Pattern: "?s ?p ?o", Models: []string{"nope"}}).Exec(context.Background(), st, sparql.ExecOptions{}); err == nil {
 		t.Error("missing model should error")
 	}
-	if _, err := (Request{Pattern: "?s ?p ?o", Models: []string{"DWH_CURR"}, Rulebases: []string{"RDFS"}}).Exec(st); err == nil {
+	if _, _, err := (Request{Pattern: "?s ?p ?o", Models: []string{"DWH_CURR"}, Rulebases: []string{"RDFS"}}).Exec(context.Background(), st, sparql.ExecOptions{}); err == nil {
 		t.Error("unsupported rulebase should error")
 	}
 }
@@ -92,7 +123,7 @@ func TestListing1(t *testing.T) {
 	req.Filter = `regex(?term, "customer", "i")`
 	req.Select = []string{"class", "object"}
 	req.GroupBy = []string{"class", "object"}
-	res, err := req.Exec(st)
+	res, _, err := req.Exec(context.Background(), st, sparql.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +159,7 @@ func TestListing2(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Select = []string{"source_id", "target_id", "target_name"}
-	res, err := req.Exec(st)
+	res, _, err := req.Exec(context.Background(), st, sparql.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +206,7 @@ func TestDistinctProjection(t *testing.T) {
 		Select:   []string{"?y"},
 		Distinct: true,
 	}
-	res, err := req.Exec(st)
+	res, _, err := req.Exec(context.Background(), st, sparql.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package sparql_test
 // record (atomics updated from worker goroutines) gets hunted too.
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -79,11 +80,11 @@ func TestDifferentialAnalyze(t *testing.T) {
 					SerialThreshold:   1,
 					FrontierThreshold: 1,
 				}
-				plain, err := q.PlanOpts(fx.src, fx.dict, opts).Exec()
+				plain, _, err := q.PlanOpts(fx.src, fx.dict, opts).Exec(context.Background(), sparql.ExecOptions{})
 				if err != nil {
 					t.Fatalf("[%s #%d w=%d] plain exec failed for %q: %v", fx.name, i, workers, full, err)
 				}
-				res, stats, err := q.PlanOpts(fx.src, fx.dict, opts).ExecAnalyze()
+				res, stats, err := q.PlanOpts(fx.src, fx.dict, opts).Exec(context.Background(), sparql.ExecOptions{Analyze: true})
 				if err != nil {
 					t.Fatalf("[%s #%d w=%d] analyzed exec failed for %q: %v", fx.name, i, workers, full, err)
 				}

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"testing"
 
 	"mdw/internal/rdf"
@@ -12,7 +13,7 @@ func TestConstructBasic(t *testing.T) {
 	q := MustParse(`PREFIX dt: <` + rdf.DTNS + `>
 		CONSTRUCT { ?s dt:feeds ?t }
 		WHERE { ?s dt:isMappedTo+ ?t }`)
-	res, err := q.Exec(src, st.Dict())
+	res, _, err := q.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestConstructMultiTemplate(t *testing.T) {
 			?x mdw:exportName ?n .
 		}
 		WHERE { ?x dm:hasName ?n }`)
-	res, err := q.Exec(src, st.Dict())
+	res, _, err := q.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestConstructConstantsAndDedup(t *testing.T) {
 	q := MustParse(`PREFIX dm: <` + rdf.DMNS + `> PREFIX mdw: <` + rdf.MDWNS + `>
 		CONSTRUCT { mdw:summary mdw:hasItem ?x }
 		WHERE { ?x dm:hasName ?n }`)
-	res, err := q.Exec(src, st.Dict())
+	res, _, err := q.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestConstructSkipsLiteralSubjects(t *testing.T) {
 	q := MustParse(`PREFIX dm: <` + rdf.DMNS + `> PREFIX mdw: <` + rdf.MDWNS + `>
 		CONSTRUCT { ?n mdw:isNameOf ?x }
 		WHERE { ?x dm:hasName ?n }`)
-	res, err := q.Exec(src, st.Dict())
+	res, _, err := q.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestConstructVariablePredicate(t *testing.T) {
 	q := MustParse(`PREFIX inst: <` + rdf.InstNS + `>
 		CONSTRUCT { inst:customer_id ?p ?o }
 		WHERE { inst:customer_id ?p ?o }`)
-	res, err := q.Exec(src, st.Dict())
+	res, _, err := q.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

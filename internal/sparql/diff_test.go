@@ -9,6 +9,7 @@ package sparql_test
 // join order, an overeager LIMIT cut — shows up as a divergence.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -319,7 +320,7 @@ func TestDifferentialParallel(t *testing.T) {
 					SerialThreshold:   1,
 					FrontierThreshold: 1,
 				})
-				res, err := p.Exec()
+				res, _, err := p.Exec(context.Background(), sparql.ExecOptions{})
 				if err != nil {
 					t.Fatalf("[%s #%d w=%d] parallel exec failed for %q: %v", fx.name, i, workers, full, err)
 				}
@@ -367,7 +368,7 @@ func TestDifferentialPlannerVsNaive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("[%s #%d] generator emitted unparsable query %q: %v", fx.name, i, full, err)
 			}
-			planned, err := q.Exec(fx.src, fx.dict)
+			planned, _, err := q.Exec(context.Background(), fx.src, fx.dict, sparql.ExecOptions{})
 			if err != nil {
 				t.Fatalf("[%s #%d] planned exec failed for %q: %v", fx.name, i, full, err)
 			}

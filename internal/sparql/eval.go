@@ -30,6 +30,16 @@ type Result struct {
 	Triples []rdf.Triple
 }
 
+// ExecOptions selects how a query executes. The zero value is a plain
+// execution, eligible for the results cache.
+type ExecOptions struct {
+	// Analyze arms operator-level instrumentation (EXPLAIN ANALYZE):
+	// Exec returns the runtime statistics tree next to the result. An
+	// analyzed run bypasses the results cache in both directions, so its
+	// statistics always come from a real execution.
+	Analyze bool
+}
+
 // Exec runs the query against a triple source. The dict must be the
 // dictionary underlying the source's models. Exec plans and executes:
 // it is exactly Plan followed by Plan.Exec, except that the plan is
@@ -40,15 +50,16 @@ type Result struct {
 // dictionary length. Join-order statistics may age with the data — that
 // only costs speed, never correctness — and new data is always visible
 // because the plan probes the live indexes.
-func (q *Query) Exec(src store.Source, dict *store.Dict) (*Result, error) {
-	return q.ExecCtx(context.Background(), src, dict)
-}
-
-// ExecCtx is Exec carrying a request context: when ctx holds a trace
-// span (obs.ContextWithSpan), planning and execution attach "sparql
-// plan" and "sparql exec" child spans to it. Untraced contexts pay one
-// context lookup and no span allocation.
-func (q *Query) ExecCtx(ctx context.Context, src store.Source, dict *store.Dict) (*Result, error) {
+//
+// When ctx holds a trace span (obs.ContextWithSpan), planning and
+// execution attach "sparql plan" and "sparql exec" child spans to it.
+// Untraced contexts pay one context lookup and no span allocation. The
+// returned stats are non-nil only with opt.Analyze.
+func (q *Query) Exec(ctx context.Context, src store.Source, dict *store.Dict, opt ExecOptions) (*Result, *ExecStats, error) {
+	if opt.Analyze {
+		p, ctx := q.planFor(ctx, src, dict)
+		return p.Exec(ctx, opt)
+	}
 	// Results cache first: a hit skips planning and execution entirely.
 	// The key embeds every model generation of the source, so it can only
 	// match a result computed from the exact store state being queried.
@@ -59,11 +70,13 @@ func (q *Query) ExecCtx(ctx context.Context, src store.Source, dict *store.Dict)
 			genKey = gk
 			t0 := time.Now()
 			if v, ok := rc.Get(q.resultCacheKey(genKey)); ok {
-				return q.serveCachedResult(ctx, v.(*Result), time.Since(t0))
+				res, err := q.serveCachedResult(ctx, v.(*Result), time.Since(t0))
+				return res, nil, err
 			}
 		}
 	}
-	res, err := q.execUncached(ctx, src, dict)
+	p, ctx := q.planFor(ctx, src, dict)
+	res, _, err := p.Exec(ctx, opt)
 	if genKey != "" && err == nil && res != nil {
 		// Store only if no model mutated while we executed: a result
 		// computed from a moving source under a pre-move key would be
@@ -72,29 +85,7 @@ func (q *Query) ExecCtx(ctx context.Context, src store.Source, dict *store.Dict)
 			rc.Put(q.resultCacheKey(genKey), res, estimateResultSize(res))
 		}
 	}
-	return res, err
-}
-
-// execUncached is the pre-results-cache execution path: plan-cache
-// probe, (re)planning, execution.
-func (q *Query) execUncached(ctx context.Context, src store.Source, dict *store.Dict) (*Result, error) {
-	p, ctx := q.planFor(ctx, src, dict)
-	return p.ExecCtx(ctx)
-}
-
-// ExecAnalyze is ExecAnalyzeCtx with a background context.
-func (q *Query) ExecAnalyze(src store.Source, dict *store.Dict) (*Result, *ExecStats, error) {
-	return q.ExecAnalyzeCtx(context.Background(), src, dict)
-}
-
-// ExecAnalyzeCtx executes the query with operator-level instrumentation
-// and returns the runtime statistics next to the result (EXPLAIN
-// ANALYZE). It reuses the memoized plan exactly like ExecCtx but always
-// bypasses the results cache: analyzed statistics must come from a real
-// execution, never from a cached result that executed nothing.
-func (q *Query) ExecAnalyzeCtx(ctx context.Context, src store.Source, dict *store.Dict) (*Result, *ExecStats, error) {
-	p, ctx := q.planFor(ctx, src, dict)
-	return p.ExecAnalyzeCtx(ctx)
+	return res, nil, err
 }
 
 // planFor returns the plan to execute — the memoized one when it is
@@ -141,47 +132,27 @@ func sameSource(cached, src store.Source) bool {
 // solution flows through join steps, pushed filters, and the projection
 // before the next is produced, so ASK stops at the first solution and a
 // streamable LIMIT stops at row N. It also feeds the observability
-// layer: execution latency and streamed-row counts go to the default
-// metrics registry, and any execution at or over the slow-query
-// threshold is captured — with the query text and the rendered plan —
-// in the default slow-query log. The plan string is only rendered on
-// that slow path.
-func (p *Plan) Exec() (*Result, error) {
-	return p.ExecCtx(context.Background())
-}
-
-// ExecCtx is Exec carrying a request context: a traced context gets a
-// "sparql exec" child span labelled with the row count. Every
-// successful execution — traced or not — also folds into the default
-// statement-statistics table under the query's fingerprint.
-func (p *Plan) ExecCtx(ctx context.Context) (*Result, error) {
-	res, _, err := p.execMeasured(ctx, nil)
-	return res, err
-}
-
-// ExecAnalyze is ExecAnalyzeCtx with a background context.
-func (p *Plan) ExecAnalyze() (*Result, *ExecStats, error) {
-	return p.ExecAnalyzeCtx(context.Background())
-}
-
-// ExecAnalyzeCtx executes the plan with an operator stats record armed
-// (EXPLAIN ANALYZE): every operator counts its loops, rows, and wall
-// time into the returned ExecStats tree.
-func (p *Plan) ExecAnalyzeCtx(ctx context.Context) (*Result, *ExecStats, error) {
-	return p.execMeasured(ctx, newExecStatsRec(p))
-}
-
-// execMeasured is the observed execution path shared by ExecCtx and
-// ExecAnalyzeCtx: tracing, metrics, statement statistics, and the
-// slow-query log. rec is nil for plain execution — unless the query's
+// layer: a traced ctx gets a "sparql exec" child span labelled with the
+// row count, execution latency and streamed-row counts go to the default
+// metrics registry, every successful execution folds into the default
+// statement-statistics table under the query's fingerprint, and any
+// execution at or over the slow-query threshold is captured — with the
+// query text and the rendered plan — in the default slow-query log. The
+// plan string is only rendered on that slow path.
+//
+// opt.Analyze arms an operator stats record (EXPLAIN ANALYZE): every
+// operator counts its loops, rows, and wall time into the returned
+// ExecStats tree. Without it the record stays nil — unless the query's
 // fingerprint was armed by an earlier slow execution, in which case this
 // execution collects stats once so its slow-log entry (and the
-// misestimation channel) gets an analyzed plan.
-func (p *Plan) execMeasured(ctx context.Context, rec *execStatsRec) (*Result, *ExecStats, error) {
+// misestimation channel) gets an analyzed plan; those stats are not
+// returned.
+func (p *Plan) Exec(ctx context.Context, opt ExecOptions) (*Result, *ExecStats, error) {
 	fp := p.query.Fingerprint()
-	armed := false
-	if rec == nil && analyzeArmed(fp) {
-		rec, armed = newExecStatsRec(p), true
+	armed := !opt.Analyze && analyzeArmed(fp)
+	var rec *execStatsRec
+	if opt.Analyze || armed {
+		rec = newExecStatsRec(p)
 	}
 	sp, _ := obs.ChildCtx(ctx, "sparql exec")
 	t0 := time.Now()
@@ -232,6 +203,7 @@ func (p *Plan) execMeasured(ctx context.Context, rec *execStatsRec) (*Result, *E
 	}
 	if armed {
 		disarmAnalyze(fp)
+		stats = nil
 	}
 	return res, stats, err
 }

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"testing"
 
 	"mdw/internal/rdf"
@@ -14,7 +15,7 @@ func TestFilterNotExists(t *testing.T) {
 			?s dt:isMappedTo ?t .
 			FILTER NOT EXISTS { ?t dt:isMappedTo ?next }
 		}`)
-	res, err := q.Exec(src, st.Dict())
+	res, _, err := q.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestFilterExists(t *testing.T) {
 			?x dm:hasName ?n .
 			FILTER EXISTS { ?x dt:isMappedTo ?y }
 		}`)
-	res, err := q.Exec(src, st.Dict())
+	res, _, err := q.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestNotExistsUsesOuterBindings(t *testing.T) {
 			?x dm:hasName ?n .
 			FILTER NOT EXISTS { ?x dm:hasName "no_such_name" }
 		}`)
-	res, err := q.Exec(src, st.Dict())
+	res, _, err := q.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestNotExistsUsesOuterBindings(t *testing.T) {
 			?x dm:hasName ?n .
 			FILTER NOT EXISTS { ?x dm:hasName "partner_id" }
 		}`)
-	res, err = q.Exec(src, st.Dict())
+	res, _, err = q.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"testing"
 
 	"mdw/internal/rdf"
@@ -23,7 +24,7 @@ func TestOptionalInsideOptional(t *testing.T) {
 			OPTIONAL { ?c <http://t/r> ?d }
 		}
 	}`)
-	res, err := q.Exec(st.ViewOf("m"), st.Dict())
+	res, _, err := q.Exec(context.Background(), st.ViewOf("m"), st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestUnionInsideOptional(t *testing.T) {
 			{ ?b <http://t/q1> ?v } UNION { ?b <http://t/q2> ?v }
 		}
 	}`)
-	res, err := q.Exec(st.ViewOf("m"), st.Dict())
+	res, _, err := q.Exec(context.Background(), st.ViewOf("m"), st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestFilterScopedToInnerGroup(t *testing.T) {
 		?s <http://t/len> ?x .
 		OPTIONAL { ?s <http://t/len> ?l . FILTER (?l > 10) }
 	}`)
-	res, err := q.Exec(st.ViewOf("m"), st.Dict())
+	res, _, err := q.Exec(context.Background(), st.ViewOf("m"), st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestChainedUnions(t *testing.T) {
 	q := MustParse(`SELECT ?s WHERE {
 		{ ?s <http://t/p1> ?v } UNION { ?s <http://t/p2> ?v } UNION { ?s <http://t/p3> ?v }
 	}`)
-	res, err := q.Exec(st.ViewOf("m"), st.Dict())
+	res, _, err := q.Exec(context.Background(), st.ViewOf("m"), st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

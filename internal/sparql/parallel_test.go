@@ -3,7 +3,7 @@ package sparql_test
 // Tests for intra-query parallelism: strategy selection, the
 // deterministic-order guarantee (parallel execution returns the exact
 // row sequence serial execution does, not just the same multiset),
-// cancellation (no goroutine outlives ExecCtx), and early termination.
+// cancellation (no goroutine outlives Exec), and early termination.
 
 import (
 	"context"
@@ -87,7 +87,7 @@ func rowStrings(res *sparql.Result) []string {
 
 func mustExec(t *testing.T, q *sparql.Query, src store.Source, dict *store.Dict, opts sparql.ParOptions) *sparql.Result {
 	t.Helper()
-	res, err := q.PlanOpts(src, dict, opts).Exec()
+	res, _, err := q.PlanOpts(src, dict, opts).Exec(context.Background(), sparql.ExecOptions{})
 	if err != nil {
 		t.Fatalf("exec failed: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestParallelDeterministicOrder(t *testing.T) {
 			if p.Parallelism() < 2 {
 				t.Fatalf("parallelism %d not selected for %q (got %d)", par, text, p.Parallelism())
 			}
-			res, err := p.Exec()
+			res, _, err := p.Exec(context.Background(), sparql.ExecOptions{})
 			if err != nil {
 				t.Fatalf("parallel exec (%d workers) failed: %v", par, err)
 			}
@@ -145,7 +145,7 @@ func TestParallelUnionOrder(t *testing.T) {
 	if !strings.Contains(p.String(), "PARALLEL UNION") {
 		t.Fatalf("plan rendering lacks PARALLEL UNION line:\n%s", p)
 	}
-	res, err := p.Exec()
+	res, _, err := p.Exec(context.Background(), sparql.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestParallelPathOrder(t *testing.T) {
 		q := sparql.MustParse(text)
 		serial := rowStrings(mustExec(t, q, src, dict, serialPar()))
 		for _, par := range parLevels()[1:] {
-			res, err := q.PlanOpts(src, dict, forcedPar(par)).Exec()
+			res, _, err := q.PlanOpts(src, dict, forcedPar(par)).Exec(context.Background(), sparql.ExecOptions{})
 			if err != nil {
 				t.Fatalf("parallel path exec (%d workers) failed: %v", par, err)
 			}
@@ -277,7 +277,7 @@ func TestParallelEarlyTermination(t *testing.T) {
 		`SELECT ?s WHERE { ?s <` + rdf.RDFType + `> <http://d/C> } LIMIT 1`,
 	} {
 		q := sparql.MustParse(text)
-		res, err := q.PlanOpts(src, dict, forcedPar(4)).Exec()
+		res, _, err := q.PlanOpts(src, dict, forcedPar(4)).Exec(context.Background(), sparql.ExecOptions{})
 		if err != nil {
 			t.Fatalf("%q: %v", text, err)
 		}
@@ -292,7 +292,7 @@ func TestParallelEarlyTermination(t *testing.T) {
 }
 
 // TestParallelCancellation is the satellite coverage: a context
-// cancelled mid-execution stops every worker promptly, ExecCtx returns
+// cancelled mid-execution stops every worker promptly, Exec returns
 // ctx.Err(), and the goroutine count settles back to the baseline.
 func TestParallelCancellation(t *testing.T) {
 	// A wide cross-ish join: 700 subjects each probing 700 candidates
@@ -313,7 +313,7 @@ func TestParallelCancellation(t *testing.T) {
 	// Cancelled before execution starts: the error surfaces immediately.
 	pre, preCancel := context.WithCancel(context.Background())
 	preCancel()
-	if _, err := q.PlanOpts(src, dict, forcedPar(4)).ExecCtx(pre); !errors.Is(err, context.Canceled) {
+	if _, _, err := q.PlanOpts(src, dict, forcedPar(4)).Exec(pre, sparql.ExecOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled exec returned %v, want context.Canceled", err)
 	}
 
@@ -323,7 +323,7 @@ func TestParallelCancellation(t *testing.T) {
 		time.Sleep(500 * time.Microsecond)
 		cancel()
 	}()
-	_, err := q.PlanOpts(src, dict, forcedPar(4)).ExecCtx(ctx)
+	_, _, err := q.PlanOpts(src, dict, forcedPar(4)).Exec(ctx, sparql.ExecOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-execution cancel returned %v, want context.Canceled", err)
 	}
@@ -335,7 +335,7 @@ func TestParallelCancellation(t *testing.T) {
 		time.Sleep(500 * time.Microsecond)
 		scancel()
 	}()
-	if _, err := q.PlanOpts(src, dict, serialPar()).ExecCtx(sctx); !errors.Is(err, context.Canceled) {
+	if _, _, err := q.PlanOpts(src, dict, serialPar()).Exec(sctx, sparql.ExecOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("serial cancel returned %v, want context.Canceled", err)
 	}
 }
@@ -350,7 +350,7 @@ func TestParallelPathCancellation(t *testing.T) {
 		time.Sleep(500 * time.Microsecond)
 		cancel()
 	}()
-	if _, err := q.PlanOpts(src, dict, forcedPar(4)).ExecCtx(ctx); !errors.Is(err, context.Canceled) {
+	if _, _, err := q.PlanOpts(src, dict, forcedPar(4)).Exec(ctx, sparql.ExecOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("path cancel returned %v, want context.Canceled", err)
 	}
 	waitForGoroutines(t, base)

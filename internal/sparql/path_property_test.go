@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -79,7 +80,7 @@ func TestPathClosureMatchesBFSProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			res, err := q.Exec(st.ViewOf("m"), st.Dict())
+			res, _, err := q.Exec(context.Background(), st.ViewOf("m"), st.Dict(), ExecOptions{})
 			if err != nil {
 				return false
 			}
@@ -122,7 +123,7 @@ func TestPathForwardBackwardAgreeProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			res, err := q.Exec(st.ViewOf("m"), st.Dict())
+			res, _, err := q.Exec(context.Background(), st.ViewOf("m"), st.Dict(), ExecOptions{})
 			if err != nil {
 				return false
 			}
@@ -147,7 +148,7 @@ func TestPathSequenceEqualsTwoHopsProperty(t *testing.T) {
 
 		q := MustParse(fmt.Sprintf(
 			`SELECT DISTINCT ?x WHERE { <%s> <http://t/edge>/<http://t/edge> ?x }`, start.Value))
-		res, err := q.Exec(st.ViewOf("m"), st.Dict())
+		res, _, err := q.Exec(context.Background(), st.ViewOf("m"), st.Dict(), ExecOptions{})
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -44,7 +45,7 @@ func exec(t *testing.T, q string) *Result {
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	res, err := parsed.Exec(src, st.Dict())
+	res, _, err := parsed.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatalf("exec %q: %v", q, err)
 	}
@@ -339,7 +340,7 @@ func TestAsk(t *testing.T) {
 	st, src := fixture()
 	q := MustParse(`PREFIX dt: <` + rdf.DTNS + `> PREFIX inst: <` + rdf.InstNS + `>
 		ASK { inst:client_information_id dt:isMappedTo+ inst:customer_id }`)
-	res, err := q.Exec(src, st.Dict())
+	res, _, err := q.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestAsk(t *testing.T) {
 	}
 	q = MustParse(`PREFIX dt: <` + rdf.DTNS + `> PREFIX inst: <` + rdf.InstNS + `>
 		ASK { inst:customer_id dt:isMappedTo inst:partner_id }`)
-	res, err = q.Exec(src, st.Dict())
+	res, _, err = q.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +373,7 @@ func TestSharedVariableInSubjectAndObject(t *testing.T) {
 	st.Add("m", rdf.T(rdf.IRI("http://t/self"), rdf.IRI("http://t/p"), rdf.IRI("http://t/self")))
 	st.Add("m", rdf.T(rdf.IRI("http://t/a"), rdf.IRI("http://t/p"), rdf.IRI("http://t/b")))
 	q := MustParse(`SELECT ?x WHERE { ?x <http://t/p> ?x }`)
-	res, err := q.Exec(st.ViewOf("m"), st.Dict())
+	res, _, err := q.Exec(context.Background(), st.ViewOf("m"), st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +426,7 @@ func TestListing1Shape(t *testing.T) {
 			FILTER regex(?term, "customer", "i")
 		}
 		GROUP BY ?class ?object`)
-	res, err := q.Exec(src, st.Dict())
+	res, _, err := q.Exec(context.Background(), src, st.Dict(), ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,7 +49,7 @@ func TestConcurrentRecordSnapshotReplan(t *testing.T) {
 	go func() { // executor: Record + revalidation/replan churn
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
-			if _, err := q.Exec(src, st.Dict()); err != nil {
+			if _, _, err := q.Exec(context.Background(), src, st.Dict(), ExecOptions{}); err != nil {
 				t.Errorf("exec: %v", err)
 				return
 			}
