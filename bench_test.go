@@ -66,7 +66,7 @@ func smallLandscape(b *testing.B) *fixture {
 			panic(err)
 		}
 		st.AddAll("DWH_CURR", l.ExtraTriples())
-		if _, _, err := reason.NewEngine(st).Materialize("DWH_CURR"); err != nil {
+		if _, _, err := reason.NewEngine(st).Materialize(context.Background(), "DWH_CURR"); err != nil {
 			panic(err)
 		}
 		smallFix = &fixture{l: l, st: st, stats: stats}
@@ -84,7 +84,7 @@ func paperLandscape(b *testing.B) *fixture {
 			panic(err)
 		}
 		st.AddAll("DWH_CURR", l.ExtraTriples())
-		if _, _, err := reason.NewEngine(st).Materialize("DWH_CURR"); err != nil {
+		if _, _, err := reason.NewEngine(st).Materialize(context.Background(), "DWH_CURR"); err != nil {
 			panic(err)
 		}
 		paperFix = &fixture{l: l, st: st, stats: stats}
@@ -659,7 +659,7 @@ func BenchmarkLineagePathExplosion(b *testing.B) {
 		b.Run(fmt.Sprintf("stages=%d/unfiltered", stages), func(b *testing.B) {
 			var paths int
 			for i := 0; i < b.N; i++ {
-				n, err := svc.CountPaths(target, lineage.Backward, lineage.Options{})
+				n, err := svc.CountPaths(context.Background(), target, lineage.Backward, lineage.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -671,7 +671,7 @@ func BenchmarkLineagePathExplosion(b *testing.B) {
 			filter := func(rule string) bool { return strings.Contains(rule, "CH") }
 			var paths int
 			for i := 0; i < b.N; i++ {
-				n, err := svc.CountPaths(target, lineage.Backward, lineage.Options{RuleFilter: filter})
+				n, err := svc.CountPaths(context.Background(), target, lineage.Backward, lineage.Options{RuleFilter: filter})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -727,7 +727,7 @@ func BenchmarkAccessAudit(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {
 		var users int
 		for i := 0; i < b.N; i++ {
-			rep, err := svc.WhoCanAccess(target, false)
+			rep, err := svc.WhoCanAccess(context.Background(), target, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -738,7 +738,7 @@ func BenchmarkAccessAudit(b *testing.B) {
 	b.Run("with-lineage", func(b *testing.B) {
 		var users int
 		for i := 0; i < b.N; i++ {
-			rep, err := svc.WhoCanAccess(target, true)
+			rep, err := svc.WhoCanAccess(context.Background(), target, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -775,7 +775,7 @@ func BenchmarkReleaseImpact(b *testing.B) {
 	a := impact.New(st, h)
 	var changed, apps int
 	for i := 0; i < b.N; i++ {
-		an, err := a.Analyze(1, 2)
+		an, err := a.Analyze(context.Background(), 1, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -497,7 +497,7 @@ func cmdAudit(args []string) error {
 		return err
 	}
 	item := staging.InstanceIRI(strings.Split(fs.Arg(0), "/")...)
-	rep, err := w.Audit(item, *withLineage)
+	rep, err := w.Audit(context.Background(), item, *withLineage)
 	if err != nil {
 		return err
 	}
@@ -537,7 +537,7 @@ func cmdImpact(args []string) error {
 		}
 		fmt.Println("(no -wh given: analyzing the built-in Figure 3 demo scenario)")
 	}
-	an, err := w.ImpactOfRelease(*from, *to)
+	an, err := w.ImpactOfRelease(context.Background(), *from, *to)
 	if err != nil {
 		return err
 	}
@@ -556,7 +556,7 @@ func cmdStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := w.Reindex(); err != nil {
+	if _, err := w.Reindex(context.Background()); err != nil {
 		return err
 	}
 	s := w.Stats()

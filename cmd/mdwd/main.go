@@ -33,6 +33,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -150,7 +151,7 @@ func main() {
 	// fast — unless recovery already brought back a current one, in which
 	// case rebuilding would only bloat the WAL with an identical index.
 	if !w.Stats().IndexCurrent {
-		if _, err := w.Reindex(); err != nil {
+		if _, err := w.Reindex(context.Background()); err != nil {
 			fmt.Fprintln(os.Stderr, "mdwd:", err)
 			os.Exit(1)
 		}

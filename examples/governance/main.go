@@ -81,7 +81,7 @@ func main() {
 		piiItem = res.Groups[0].Hits[0].IRI
 	}
 	if !piiItem.IsZero() {
-		rep, err := w.Audit(piiItem, true)
+		rep, err := w.Audit(context.Background(), piiItem, true)
 		if err != nil {
 			log.Fatal(err)
 		}

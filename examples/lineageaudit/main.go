@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -77,11 +78,11 @@ func main() {
 
 	// 5. Rule-condition filters (Section V): only follow mappings whose
 	//    rule restricts to Swiss bookings, pruning the path space.
-	all, err := svc.CountPaths(item, lineage.Backward, lineage.Options{})
+	all, err := svc.CountPaths(context.Background(), item, lineage.Backward, lineage.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	filtered, err := svc.CountPaths(item, lineage.Backward, lineage.Options{
+	filtered, err := svc.CountPaths(context.Background(), item, lineage.Backward, lineage.Options{
 		RuleFilter: func(rule string) bool { return rule == "" || strings.Contains(rule, "CH") },
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package mdw
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -125,7 +126,7 @@ func TestCensusConsistency(t *testing.T) {
 // superclass closure of its direct class.
 func TestIndexedQueriesMatchOntologyClosure(t *testing.T) {
 	w, l := buildSmall(t)
-	if _, err := w.Reindex(); err != nil {
+	if _, err := w.Reindex(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st := w.Store()
@@ -264,7 +265,7 @@ func TestValidationOnGeneratedLandscape(t *testing.T) {
 // queries never see index triples, and models are fully isolated.
 func TestViewIsolationAcrossModels(t *testing.T) {
 	w, l := buildSmall(t)
-	if _, err := w.Reindex(); err != nil {
+	if _, err := w.Reindex(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st := w.Store()
@@ -295,7 +296,7 @@ func TestViewIsolationAcrossModels(t *testing.T) {
 // TestConcurrentSearches: the warehouse must serve parallel readers.
 func TestConcurrentSearches(t *testing.T) {
 	w, _ := buildSmall(t)
-	if _, err := w.Reindex(); err != nil {
+	if _, err := w.Reindex(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	terms := []string{"customer", "account", "risk", "trade", "portfolio", "fee"}
@@ -319,7 +320,7 @@ func TestConcurrentSearches(t *testing.T) {
 // store byte-for-content.
 func TestStoreDumpAtScale(t *testing.T) {
 	w, _ := buildSmall(t)
-	if _, err := w.Reindex(); err != nil {
+	if _, err := w.Reindex(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -13,6 +13,7 @@
 package audit
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -79,8 +80,8 @@ func New(st *store.Store, model string) *Service {
 // its own application. Set includeLineage to extend the audit across the
 // item's data flows (both directions), which is what an actual
 // data-protection review needs.
-func (s *Service) WhoCanAccess(item rdf.Term, includeLineage bool) (*Report, error) {
-	view, err := s.indexedView()
+func (s *Service) WhoCanAccess(ctx context.Context, item rdf.Term, includeLineage bool) (*Report, error) {
+	view, err := s.indexedView(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +108,7 @@ func (s *Service) WhoCanAccess(item rdf.Term, includeLineage bool) (*Report, err
 	if includeLineage {
 		svc := lineage.New(s.st, s.model)
 		for _, dir := range []lineage.Direction{lineage.Backward, lineage.Forward} {
-			g, err := svc.Trace(item, dir, lineage.Options{})
+			g, err := svc.TraceCtx(ctx, item, dir, lineage.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -238,8 +239,8 @@ func (s *Service) nameOf(view *store.View, dict *store.Dict, id store.ID) string
 	return rdf.LocalName(dict.Term(id).Value)
 }
 
-func (s *Service) indexedView() (*store.View, error) {
-	idx, err := reason.EnsureCurrent(s.st, s.model)
+func (s *Service) indexedView(ctx context.Context) (*store.View, error) {
+	idx, err := reason.EnsureCurrent(ctx, s.st, s.model)
 	if err != nil {
 		return nil, err
 	}

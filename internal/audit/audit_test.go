@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestDirectAccess(t *testing.T) {
 	svc := New(st, "DWH_CURR")
 	// customer_id lives in application1: bob (administrator), carol
 	// (business_user), and bob as owner.
-	rep, err := svc.WhoCanAccess(item("application1/dwhdb/mart/v_customer/customer_id"), false)
+	rep, err := svc.WhoCanAccess(context.Background(), item("application1/dwhdb/mart/v_customer/customer_id"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +62,13 @@ func TestDirectAccess(t *testing.T) {
 // closure, which only a re-materialized index holds.
 func TestAuditSeesEntailmentAfterWrite(t *testing.T) {
 	st := fixture(t)
-	if _, _, err := reason.NewEngine(st).Materialize("DWH_CURR"); err != nil {
+	if _, _, err := reason.NewEngine(st).Materialize(context.Background(), "DWH_CURR"); err != nil {
 		t.Fatal(err)
 	}
 	svc := New(st, "DWH_CURR")
 	col := item("application1/dwhdb/mart/v_customer/segment_id")
 	st.Add("DWH_CURR", rdf.T(col, rdf.IRI(rdf.MDWPartOf), item("application1/dwhdb/mart/v_customer")))
-	rep, err := svc.WhoCanAccess(col, false)
+	rep, err := svc.WhoCanAccess(context.Background(), col, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestLineageExtendedAccess(t *testing.T) {
 	svc := New(st, "DWH_CURR")
 	target := item("application1/dwhdb/mart/v_customer/customer_id")
 
-	direct, err := svc.WhoCanAccess(target, false)
+	direct, err := svc.WhoCanAccess(context.Background(), target, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := svc.WhoCanAccess(target, true)
+	full, err := svc.WhoCanAccess(context.Background(), target, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestLineageExtendedAccess(t *testing.T) {
 func TestOwnerGrant(t *testing.T) {
 	st := fixture(t)
 	svc := New(st, "DWH_CURR")
-	rep, err := svc.WhoCanAccess(item("pb_frontend/pbdb/clients/client_info/client_information_id"), false)
+	rep, err := svc.WhoCanAccess(context.Background(), item("pb_frontend/pbdb/clients/client_info/client_information_id"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestOwnerGrant(t *testing.T) {
 func TestApplicationItself(t *testing.T) {
 	st := fixture(t)
 	svc := New(st, "DWH_CURR")
-	rep, err := svc.WhoCanAccess(item("application1"), false)
+	rep, err := svc.WhoCanAccess(context.Background(), item("application1"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +142,10 @@ func TestApplicationItself(t *testing.T) {
 func TestUnknownItem(t *testing.T) {
 	st := fixture(t)
 	svc := New(st, "DWH_CURR")
-	if _, err := svc.WhoCanAccess(rdf.IRI("http://nowhere/x"), false); err == nil {
+	if _, err := svc.WhoCanAccess(context.Background(), rdf.IRI("http://nowhere/x"), false); err == nil {
 		t.Error("unknown item should error")
 	}
-	if _, err := New(store.New(), "missing").WhoCanAccess(rdf.IRI("http://x"), false); err == nil {
+	if _, err := New(store.New(), "missing").WhoCanAccess(context.Background(), rdf.IRI("http://x"), false); err == nil {
 		t.Error("missing model should error")
 	}
 }
@@ -152,7 +153,7 @@ func TestUnknownItem(t *testing.T) {
 func TestGrantsSorted(t *testing.T) {
 	st := fixture(t)
 	svc := New(st, "DWH_CURR")
-	rep, err := svc.WhoCanAccess(item("application1/dwhdb/mart/v_customer/customer_id"), true)
+	rep, err := svc.WhoCanAccess(context.Background(), item("application1/dwhdb/mart/v_customer/customer_id"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestGrantsSorted(t *testing.T) {
 func TestFormat(t *testing.T) {
 	st := fixture(t)
 	svc := New(st, "DWH_CURR")
-	rep, err := svc.WhoCanAccess(item("application1/dwhdb/mart/v_customer/customer_id"), true)
+	rep, err := svc.WhoCanAccess(context.Background(), item("application1/dwhdb/mart/v_customer/customer_id"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestLandscapeScaleAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := New(st, "m")
-	rep, err := svc.WhoCanAccess(item(l.MartColumns[0]), true)
+	rep, err := svc.WhoCanAccess(context.Background(), item(l.MartColumns[0]), true)
 	if err != nil {
 		t.Fatal(err)
 	}

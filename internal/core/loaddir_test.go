@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -108,7 +109,7 @@ func TestLoadDirErrors(t *testing.T) {
 func TestAuditThroughFacade(t *testing.T) {
 	w := buildWarehouse(t)
 	item := staging.InstanceIRI("application1", "dwhdb", "mart", "v_customer", "customer_id")
-	rep, err := w.Audit(item, true)
+	rep, err := w.Audit(context.Background(), item, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ import (
 func TestSaveOpenRoundTrip(t *testing.T) {
 	w := buildWarehouse(t)
 	w.IntegrateDBpedia(dbpedia.Banking())
-	if _, err := w.Reindex(); err != nil {
+	if _, err := w.Reindex(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Snapshot("2009-R1", time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC)); err != nil {

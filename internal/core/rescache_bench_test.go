@@ -36,7 +36,7 @@ func benchWarehouse(b *testing.B) *Warehouse {
 	if _, err := w.LoadExports([]*staging.Export{landscape.Figure3Export()}); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := w.Reindex(); err != nil {
+	if _, err := w.Reindex(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	return w

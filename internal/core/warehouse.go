@@ -121,10 +121,10 @@ func (w *Warehouse) IntegrateDBpedia(extract []rdf.Triple) int {
 	return n
 }
 
-// Reindex forces rematerialization of the OWLPRIME index and returns the
-// number of derived triples.
-func (w *Warehouse) Reindex() (int, error) {
-	_, n, err := reason.NewEngine(w.st).Materialize(w.model)
+// Reindex forces a full rematerialization of the OWLPRIME index and
+// returns the number of derived triples.
+func (w *Warehouse) Reindex(ctx context.Context) (int, error) {
+	_, n, err := reason.NewEngine(w.st).Materialize(ctx, w.model)
 	return n, err
 }
 
@@ -182,15 +182,15 @@ func (w *Warehouse) Impact(item rdf.Term) ([]rdf.Term, error) {
 
 // Audit runs the access audit of the roles use case: which users and
 // roles can reach the item, optionally extended across its lineage.
-func (w *Warehouse) Audit(item rdf.Term, includeLineage bool) (*audit.Report, error) {
-	return audit.New(w.st, w.model).WhoCanAccess(item, includeLineage)
+func (w *Warehouse) Audit(ctx context.Context, item rdf.Term, includeLineage bool) (*audit.Report, error) {
+	return audit.New(w.st, w.model).WhoCanAccess(ctx, item, includeLineage)
 }
 
 // ImpactOfRelease analyzes the meta-data changes between two historized
 // releases and follows them forward to the affected applications and
 // reports — the change-management use case.
-func (w *Warehouse) ImpactOfRelease(from, to int) (*impact.Analysis, error) {
-	return impact.New(w.st, w.hist).Analyze(from, to)
+func (w *Warehouse) ImpactOfRelease(ctx context.Context, from, to int) (*impact.Analysis, error) {
+	return impact.New(w.st, w.hist).Analyze(ctx, from, to)
 }
 
 // QueryOptions selects how Warehouse.Query runs. The zero value queries
@@ -219,7 +219,7 @@ func (w *Warehouse) Query(ctx context.Context, query string, opt QueryOptions) (
 		root.SetLabel("error", "parse")
 		return nil, nil, err
 	}
-	src, err := w.querySource(opt.FactsOnly)
+	src, err := w.querySource(ctx, opt.FactsOnly)
 	if err != nil {
 		root.SetLabel("error", "reindex")
 		return nil, nil, err
@@ -233,11 +233,11 @@ func (w *Warehouse) Query(ctx context.Context, query string, opt QueryOptions) (
 
 // querySource is the view Query and Explain run against: the base facts
 // alone, or the base model plus its up-to-date OWLPRIME index.
-func (w *Warehouse) querySource(factsOnly bool) (store.Source, error) {
+func (w *Warehouse) querySource(ctx context.Context, factsOnly bool) (store.Source, error) {
 	if factsOnly {
 		return w.st.ViewOf(w.model), nil
 	}
-	idx, err := reason.EnsureCurrent(w.st, w.model)
+	idx, err := reason.EnsureCurrent(ctx, w.st, w.model)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +263,7 @@ func (w *Warehouse) Explain(ctx context.Context, query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	src, err := w.querySource(false)
+	src, err := w.querySource(ctx, false)
 	if err != nil {
 		return "", err
 	}

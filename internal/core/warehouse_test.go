@@ -44,7 +44,7 @@ func TestLoadAndStats(t *testing.T) {
 	if s.Triples == 0 || s.Nodes == 0 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if _, err := w.Reindex(); err != nil {
+	if _, err := w.Reindex(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if w.Stats().Derived == 0 {
@@ -202,7 +202,7 @@ func TestCensusAndValidate(t *testing.T) {
 
 func TestLoadInvalidatesIndex(t *testing.T) {
 	w := buildWarehouse(t)
-	if _, err := w.Reindex(); err != nil {
+	if _, err := w.Reindex(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// A new subclass plus instance loaded AFTER indexing must still be

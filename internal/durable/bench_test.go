@@ -1,6 +1,7 @@
 package durable_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -61,7 +62,7 @@ func benchFixture(b *testing.B, scale string) *benchEnv {
 		b.Fatal(err)
 	}
 	st.AddAll("DWH_CURR", l.ExtraTriples())
-	if _, _, err := reason.NewEngine(st).Materialize("DWH_CURR"); err != nil {
+	if _, _, err := reason.NewEngine(st).Materialize(context.Background(), "DWH_CURR"); err != nil {
 		b.Fatal(err)
 	}
 	cp, err := mgr.Checkpoint()

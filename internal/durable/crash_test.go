@@ -1,6 +1,7 @@
 package durable_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -10,6 +11,7 @@ import (
 
 	"mdw/internal/durable"
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
 	"mdw/internal/store"
 )
 
@@ -80,6 +82,27 @@ func TestTruncateAtEveryByte(t *testing.T) {
 		}
 	})
 	commit(func() { st.DropModel("m_clone") })
+	// Write-then-derive cycles: the first derivation runs in full and
+	// logs an OpInstall; later ones log only their delta (OpDerive),
+	// including one that moves a derived triple into the base.
+	derive := func() {
+		if _, err := reason.EnsureCurrent(context.Background(), st, "m"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(func() {
+		st.AddAll("m", []rdf.Triple{
+			rdf.T(iri("Sub"), rdf.SubClassOf, iri("Super")),
+			rdf.T(iri("i0"), rdf.Type, iri("Sub")),
+		})
+	})
+	commit(derive)
+	for i := 1; i <= 2; i++ {
+		commit(func() { st.Add("m", rdf.T(iri(fmt.Sprintf("i%d", i)), rdf.Type, iri("Sub"))) })
+		commit(derive)
+	}
+	commit(func() { st.Add("m", rdf.T(iri("i0"), rdf.Type, iri("Super"))) })
+	commit(derive)
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}

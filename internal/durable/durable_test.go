@@ -1,6 +1,7 @@
 package durable_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"mdw/internal/durable"
+	"mdw/internal/obs"
 	"mdw/internal/rdf"
 	"mdw/internal/reason"
 	"mdw/internal/store"
@@ -81,7 +83,7 @@ func scriptedMutations(t *testing.T, st *store.Store) {
 		rdf.T(iri("Sub"), rdf.IRI(rdf.RDFSSubClassOf), iri("Super")),
 		rdf.T(iri("inst"), rdf.Type, iri("Sub")),
 	})
-	if _, _, err := reason.NewEngine(st).Materialize("m1"); err != nil {
+	if _, _, err := reason.NewEngine(st).Materialize(context.Background(), "m1"); err != nil {
 		t.Fatalf("Materialize: %v", err)
 	}
 }
@@ -366,5 +368,72 @@ func TestCloneReplayParity(t *testing.T) {
 			t.Errorf("generation %d reused across models after recovery", g)
 		}
 		gens[g] = true
+	}
+}
+
+// TestRecoveredIndexAfterDeltaCycles runs write→query cycles on a durable
+// store — a checkpoint after the first, full derivation leaves only
+// delta records in the WAL tail — then closes and recovers: the recovered
+// index must be current without re-deriving, must have been rebuilt from
+// the delta records, and must equal a full Materialize of the recovered
+// base.
+func TestRecoveredIndexAfterDeltaCycles(t *testing.T) {
+	const cycles = 8
+	ctx := context.Background()
+	dir := t.TempDir()
+	mgr, st := openTest(t, dir, nil)
+	st.AddAll("m", []rdf.Triple{
+		rdf.T(iri("Sub"), rdf.SubClassOf, iri("Mid")),
+		rdf.T(iri("Mid"), rdf.SubClassOf, iri("Top")),
+		rdf.T(iri("p"), rdf.Domain, iri("Sub")),
+		rdf.T(iri("x"), rdf.Type, iri("Sub")),
+	})
+	if _, err := reason.EnsureCurrent(ctx, st, "m"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cycles; i++ {
+		st.Add("m", rdf.T(iri(fmt.Sprintf("s%d", i)), iri("p"), rdf.Literal(fmt.Sprintf("v%d", i))))
+		if _, err := reason.EnsureCurrent(ctx, st, "m"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := fingerprint(st)
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	deltas := obs.Default().Counter("mdw_store_delta_publishes_total")
+	deltas0 := deltas.Value()
+	mgr2, st2 := openTest(t, dir, nil)
+	defer mgr2.Close()
+	if got := fingerprint(st2); got != want {
+		t.Fatalf("state after recovery diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+	if n := deltas.Value() - deltas0; n != cycles {
+		t.Errorf("recovery replayed %d delta records, want %d", n, cycles)
+	}
+	if rec := mgr2.Recovery(); rec.ReplayedRecords != 2*cycles {
+		t.Errorf("replayed %d records, want %d (one add and one delta per cycle)", rec.ReplayedRecords, 2*cycles)
+	}
+	idx := reason.IndexModelName("m", reason.RulebaseOWLPrime)
+	if !st2.Current("m", idx) {
+		t.Fatal("recovered index is not current")
+	}
+	fresh := store.New()
+	fresh.AddAll("m", st2.Triples("m"))
+	if _, _, err := reason.NewEngine(fresh).Materialize(ctx, "m"); err != nil {
+		t.Fatal(err)
+	}
+	got, full := st2.Triples(idx), fresh.Triples(idx)
+	if len(got) != len(full) {
+		t.Fatalf("recovered index has %d triples, full Materialize %d", len(got), len(full))
+	}
+	for i := range got {
+		if got[i] != full[i] {
+			t.Fatalf("recovered index differs from full Materialize at %d: %v vs %v", i, got[i], full[i])
+		}
 	}
 }

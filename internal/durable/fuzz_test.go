@@ -1,6 +1,7 @@
 package durable_test
 
 import (
+	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 
 	"mdw/internal/durable"
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
 	"mdw/internal/store"
 )
 
@@ -30,6 +32,14 @@ func realWALPayloads(f *testing.F) [][]byte {
 	st.Remove("m", rdf.T(rdf.IRI("http://a"), rdf.IRI("http://p"), rdf.IRI("http://b")))
 	st.CloneModel("m", "m2")
 	st.DropModel("m2")
+	// A full derivation (OpInstall), then a one-triple delta (OpDerive).
+	st.AddAll("m", []rdf.Triple{
+		rdf.T(rdf.IRI("http://C"), rdf.SubClassOf, rdf.IRI("http://D")),
+		rdf.T(rdf.IRI("http://a"), rdf.Type, rdf.IRI("http://C")),
+	})
+	reason.EnsureCurrent(context.Background(), st, "m")
+	st.Add("m", rdf.T(rdf.IRI("http://b"), rdf.Type, rdf.IRI("http://C")))
+	reason.EnsureCurrent(context.Background(), st, "m")
 	mgr.Close()
 
 	matches, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))

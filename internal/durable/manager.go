@@ -111,7 +111,7 @@ type Manager struct {
 	mu     sync.Mutex // serializes writer access: hook, fsync loop, rotation
 	w      *segmentWriter
 	walErr error  // sticky: first append/sync failure flips to degraded mode
-	buf    []byte // payload scratch
+	buf    []byte // payload scratch, scratchBytes long; never grown
 
 	cpMu sync.Mutex // one checkpoint at a time
 
@@ -145,7 +145,7 @@ func Open(opts Options) (*Manager, *store.Store, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m := &Manager{opts: opts, st: st, dict: st.Dict(), w: w, rec: *rec, stop: make(chan struct{}), buf: make([]byte, 0, 4096)}
+	m := &Manager{opts: opts, st: st, dict: st.Dict(), w: w, rec: *rec, stop: make(chan struct{}), buf: make([]byte, 0, scratchBytes)}
 	m.lastLSN.Store(rec.LastLSN)
 	st.SetCommitHook(m.committed)
 	if opts.Fsync == FsyncInterval {
@@ -186,6 +186,12 @@ func (m *Manager) Err() error {
 	return m.walErr
 }
 
+// scratchBytes is the capacity of the manager's reusable payload
+// buffer: ordinary records (a few triples) fit in it; a bigger one — a
+// bulk load, a full index install — is encoded into a one-off buffer the
+// garbage collector reclaims once the record is written.
+const scratchBytes = 4 << 10
+
 // committed is the store commit hook: it runs under the store's write
 // lock, so records are framed and appended in exactly the store's
 // serialization order.
@@ -196,14 +202,16 @@ func (m *Manager) committed(mut store.Mutation) {
 		return
 	}
 	lsn := m.lastLSN.Load() + 1
-	m.buf = m.appendMutation(m.buf[:0], lsn, mut)
-	if err := m.w.append(m.buf); err != nil {
+	// Appending past the scratch's capacity moves to a fresh array, which
+	// is deliberately not kept: m.buf itself never grows.
+	payload := m.appendMutation(m.buf[:0], lsn, mut)
+	if err := m.w.append(payload); err != nil {
 		m.degradeLocked(fmt.Errorf("append LSN %d: %w", lsn, err))
 		return
 	}
 	m.lastLSN.Store(lsn)
 	obsAppends.Inc()
-	obsWALBytes.Add(int64(frameHeaderSize + len(m.buf)))
+	obsWALBytes.Add(int64(frameHeaderSize + len(payload)))
 	if m.opts.Fsync == FsyncAlways {
 		d, err := m.w.sync()
 		if err != nil {
@@ -228,12 +236,7 @@ func (m *Manager) appendMutation(b []byte, lsn uint64, mut store.Mutation) []byt
 	switch mut.Op {
 	case store.OpAdd, store.OpRemove:
 		b = appendU64(b, mut.Gen)
-		b = appendUvarint(b, uint64(len(mut.Triples)))
-		for _, et := range mut.Triples {
-			b = appendTerm(b, m.dict.Term(et.S))
-			b = appendTerm(b, m.dict.Term(et.P))
-			b = appendTerm(b, m.dict.Term(et.O))
-		}
+		b = m.appendETriples(b, mut.Triples)
 	case store.OpDrop:
 	case store.OpClone:
 		b = appendString(b, mut.Src)
@@ -248,6 +251,23 @@ func (m *Manager) appendMutation(b []byte, lsn uint64, mut store.Mutation) []byt
 			b = appendTerm(b, m.dict.Term(et.O))
 			return true
 		})
+	case store.OpDerive:
+		b = appendU64(b, mut.Prev)
+		b = appendU64(b, mut.Gen)
+		b = appendU64(b, mut.Basis)
+		b = m.appendETriples(b, mut.Triples)
+		b = m.appendETriples(b, mut.Removed)
+	}
+	return b
+}
+
+// appendETriples encodes a counted list of encoded triples as full terms.
+func (m *Manager) appendETriples(b []byte, ts []store.ETriple) []byte {
+	b = appendUvarint(b, uint64(len(ts)))
+	for _, et := range ts {
+		b = appendTerm(b, m.dict.Term(et.S))
+		b = appendTerm(b, m.dict.Term(et.P))
+		b = appendTerm(b, m.dict.Term(et.O))
 	}
 	return b
 }

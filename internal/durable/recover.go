@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"mdw/internal/rdf"
 	"mdw/internal/store"
 )
 
@@ -157,9 +158,9 @@ func replayWAL(dir string, st *store.Store, snapLSN uint64, stats *RecoveryStats
 			}
 			applied = rec.LSN
 			stats.ReplayedRecords++
-			stats.ReplayedTriples += len(rec.Triples)
+			stats.ReplayedTriples += len(rec.Triples) + len(rec.Removed)
 			obsReplayed.Inc()
-			obsReplayedTrip.Add(int64(len(rec.Triples)))
+			obsReplayedTrip.Add(int64(len(rec.Triples) + len(rec.Removed)))
 		}
 		if scan.torn != nil {
 			// The crash interrupted the final append: everything before it
@@ -231,9 +232,27 @@ func applyRecord(st *store.Store, rec *Record) error {
 		m.SetBasis(rec.Basis)
 		st.InstallModel(m)
 		return nil
+	case store.OpDerive:
+		// ApplyDerive checks the model sits at Prev before touching it
+		// and lands exactly on Gen after, so a delta can never be
+		// replayed onto a state it was not derived from.
+		if err := st.ApplyDerive(rec.Model, rec.Prev, rec.Gen, rec.Basis, intern(st, rec.Triples), intern(st, rec.Removed)); err != nil {
+			return fmt.Errorf("%w (replay divergence)", err)
+		}
+		return nil
 	default:
 		return fmt.Errorf("unknown op %d", rec.Op)
 	}
+}
+
+// intern encodes replayed triples through the store's dictionary.
+func intern(st *store.Store, ts []rdf.Triple) []store.ETriple {
+	dict := st.Dict()
+	out := make([]store.ETriple, len(ts))
+	for i, t := range ts {
+		out[i] = store.ETriple{S: dict.Intern(t.S), P: dict.Intern(t.P), O: dict.Intern(t.O)}
+	}
+	return out
 }
 
 func verifyGen(st *store.Store, model string, want uint64) error {

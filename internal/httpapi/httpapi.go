@@ -394,7 +394,7 @@ func (s *Server) handleAudit(rw http.ResponseWriter, r *http.Request) {
 		item = staging.InstanceIRI(strings.Split(itemPath, "/")...)
 	}
 	withLineage := q.Get("lineage") != "false"
-	rep, err := s.w.Audit(item, withLineage)
+	rep, err := s.w.Audit(r.Context(), item, withLineage)
 	if err != nil {
 		writeError(rw, http.StatusNotFound, err)
 		return

@@ -193,19 +193,28 @@ func TestObserveMiddlewareMetrics(t *testing.T) {
 	_, histBefore := reg.Histogram("mdw_http_request_seconds", nil, "route", "GET /api/search").Buckets()
 	countBefore := histBefore[len(histBefore)-1]
 
+	// Each response is read to EOF: the middleware counts a request only
+	// after its handler returns, and a body larger than the server's
+	// write buffer reaches the client before that. Reading to the end
+	// waits for the handler; closing an unread body did not, so the
+	// deltas below raced it.
+	drain := func(resp *http.Response) {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
 	for i := 0; i < 2; i++ {
-		get(t, srv.URL+"/api/search?term=customer").Body.Close()
+		drain(get(t, srv.URL+"/api/search?term=customer"))
 	}
 	resp := get(t, srv.URL+"/api/search") // missing ?term → 400
 	if resp.StatusCode != 400 {
 		t.Fatalf("missing-term status = %d", resp.StatusCode)
 	}
-	resp.Body.Close()
+	drain(resp)
 	resp = get(t, srv.URL+"/no/such/route")
 	if resp.StatusCode != 404 {
 		t.Fatalf("unmatched route status = %d", resp.StatusCode)
 	}
-	resp.Body.Close()
+	drain(resp)
 
 	if d := searchOK.Value() - okBefore; d != 2 {
 		t.Errorf("2xx search counter delta = %d, want 2", d)

@@ -11,6 +11,7 @@
 package impact
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -54,7 +55,7 @@ func New(st *store.Store, hist *history.Historian) *Analyzer {
 // Analyze compares releases from and to, and reports the downstream
 // impact of every changed item, evaluated against the *current* graph
 // (which knows the full data-flow topology).
-func (a *Analyzer) Analyze(from, to int) (*Analysis, error) {
+func (a *Analyzer) Analyze(ctx context.Context, from, to int) (*Analysis, error) {
 	vf, err := a.hist.Version(from)
 	if err != nil {
 		return nil, err
@@ -112,7 +113,7 @@ func (a *Analyzer) Analyze(from, to int) (*Analysis, error) {
 	}
 
 	// Roll the affected set up to applications and reports.
-	view, err := a.indexedView()
+	view, err := a.indexedView(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -175,8 +176,8 @@ func containerOfClass(view *store.View, dict *store.Dict, id store.ID, classIRI 
 	return rdf.Term{}, false
 }
 
-func (a *Analyzer) indexedView() (*store.View, error) {
-	idx, err := reason.EnsureCurrent(a.st, a.model)
+func (a *Analyzer) indexedView(ctx context.Context) (*store.View, error) {
+	idx, err := reason.EnsureCurrent(ctx, a.st, a.model)
 	if err != nil {
 		return nil, err
 	}

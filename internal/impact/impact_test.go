@@ -1,6 +1,7 @@
 package impact
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func fixture(t *testing.T) (*store.Store, *history.Historian) {
 
 func TestAnalyzePropagatesDownstream(t *testing.T) {
 	st, h := fixture(t)
-	an, err := New(st, h).Analyze(1, 2)
+	an, err := New(st, h).Analyze(context.Background(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestAnalyzeFindsAffectedReports(t *testing.T) {
 	// rebuilds it.
 	st.DropModel("m$OWLPRIME")
 
-	an, err := New(st, h).Analyze(1, 2)
+	an, err := New(st, h).Analyze(context.Background(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestAnalyzeSeesEntailmentAfterWrite(t *testing.T) {
 		rdf.T(app, rdf.Type, rdf.IRI(rdf.DMNS+"Application")),
 		rdf.T(db, rdf.IRI(rdf.MDWPartOf), app),
 	})
-	if _, _, err := reason.NewEngine(st).Materialize("m"); err != nil {
+	if _, _, err := reason.NewEngine(st).Materialize(context.Background(), "m"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.Snapshot("R3", day(60)); err != nil {
@@ -119,7 +120,7 @@ func TestAnalyzeSeesEntailmentAfterWrite(t *testing.T) {
 	if _, err := h.Snapshot("R4", day(90)); err != nil {
 		t.Fatal(err)
 	}
-	an, err := New(st, h).Analyze(3, 4)
+	an, err := New(st, h).Analyze(context.Background(), 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestAnalyzeNoChanges(t *testing.T) {
 	h := history.NewHistorian(st, "m")
 	h.Snapshot("R1", day(0))
 	h.Snapshot("R2", day(45))
-	an, err := New(st, h).Analyze(1, 2)
+	an, err := New(st, h).Analyze(context.Background(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,17 +153,17 @@ func TestAnalyzeNoChanges(t *testing.T) {
 func TestAnalyzeErrors(t *testing.T) {
 	st, h := fixture(t)
 	a := New(st, h)
-	if _, err := a.Analyze(1, 9); err == nil {
+	if _, err := a.Analyze(context.Background(), 1, 9); err == nil {
 		t.Error("missing release should error")
 	}
-	if _, err := a.Analyze(7, 2); err == nil {
+	if _, err := a.Analyze(context.Background(), 7, 2); err == nil {
 		t.Error("missing release should error")
 	}
 }
 
 func TestFormat(t *testing.T) {
 	st, h := fixture(t)
-	an, err := New(st, h).Analyze(1, 2)
+	an, err := New(st, h).Analyze(context.Background(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestLandscapeScaleImpact(t *testing.T) {
 	}
 	h.Snapshot("R2", day(45))
 
-	an, err := New(st, h).Analyze(1, 2)
+	an, err := New(st, h).Analyze(context.Background(), 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,11 +110,11 @@ func (s *Service) Trace(item rdf.Term, dir Direction, opt Options) (*Graph, erro
 // a "lineage.trace" span, nested in the request's trace when ctx carries
 // one, the root of a new trace otherwise.
 func (s *Service) TraceCtx(ctx context.Context, item rdf.Term, dir Direction, opt Options) (*Graph, error) {
-	sp, _ := obs.StartChildCtx(ctx, "lineage.trace")
+	sp, ctx := obs.StartChildCtx(ctx, "lineage.trace")
 	sp.SetLabel("item", item.Value).SetLabel("direction", dir.String())
 	defer sp.Finish()
 	defer obsTraceHist.ObserveSince(time.Now())
-	view, err := s.indexedView()
+	view, err := s.indexedView(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -304,8 +304,8 @@ func (s *Service) Impact(item rdf.Term, opt Options) ([]rdf.Term, error) {
 // expected to be acyclic — mapping chains are — and paths are counted
 // with memoization, so the count itself stays cheap even when it is
 // exponential in the number of stages.
-func (s *Service) CountPaths(item rdf.Term, dir Direction, opt Options) (int, error) {
-	view, err := s.indexedView()
+func (s *Service) CountPaths(ctx context.Context, item rdf.Term, dir Direction, opt Options) (int, error) {
+	view, err := s.indexedView(ctx)
 	if err != nil {
 		return 0, err
 	}
@@ -366,8 +366,8 @@ func (s *Service) CountPaths(item rdf.Term, dir Direction, opt Options) (int, er
 	return count(rootID), nil
 }
 
-func (s *Service) indexedView() (*store.View, error) {
-	idx, err := reason.EnsureCurrent(s.st, s.model)
+func (s *Service) indexedView(ctx context.Context) (*store.View, error) {
+	idx, err := reason.EnsureCurrent(ctx, s.st, s.model)
 	if err != nil {
 		return nil, err
 	}

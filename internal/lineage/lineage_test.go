@@ -1,6 +1,7 @@
 package lineage
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestBackwardLineageFigure8(t *testing.T) {
 // holds.
 func TestTraceSeesEntailmentAfterWrite(t *testing.T) {
 	st := fixture(t)
-	if _, _, err := reason.NewEngine(st).Materialize("DWH_CURR"); err != nil {
+	if _, _, err := reason.NewEngine(st).Materialize(context.Background(), "DWH_CURR"); err != nil {
 		t.Fatal(err)
 	}
 	svc := New(st, "DWH_CURR")
@@ -220,7 +221,7 @@ func TestUnknownItem(t *testing.T) {
 	if _, err := svc.Trace(rdf.IRI("http://nowhere/x"), Backward, Options{}); err == nil {
 		t.Error("unknown item should error")
 	}
-	if _, err := svc.CountPaths(rdf.IRI("http://nowhere/x"), Backward, Options{}); err == nil {
+	if _, err := svc.CountPaths(context.Background(), rdf.IRI("http://nowhere/x"), Backward, Options{}); err == nil {
 		t.Error("unknown item should error in CountPaths")
 	}
 }
@@ -236,7 +237,7 @@ func TestCountPathsLinear(t *testing.T) {
 	st := fixture(t)
 	svc := New(st, "DWH_CURR")
 	paths := landscape.Figure3Paths()
-	n, err := svc.CountPaths(pathTerm(paths[3]), Backward, Options{})
+	n, err := svc.CountPaths(context.Background(), pathTerm(paths[3]), Backward, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestCountPathsExponentialFanIn(t *testing.T) {
 		}
 	}
 	svc := New(st, "m")
-	n, err := svc.CountPaths(node(stages-1, 0), Backward, Options{})
+	n, err := svc.CountPaths(context.Background(), node(stages-1, 0), Backward, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestCountPathsWithRuleFilter(t *testing.T) {
 	st := fixture(t)
 	svc := New(st, "DWH_CURR")
 	paths := landscape.Figure3Paths()
-	n, err := svc.CountPaths(pathTerm(paths[3]), Backward, Options{
+	n, err := svc.CountPaths(context.Background(), pathTerm(paths[3]), Backward, Options{
 		RuleFilter: func(rule string) bool { return rule != "" },
 	})
 	if err != nil {
@@ -382,7 +383,7 @@ func TestRollupSides(t *testing.T) {
 
 	// Sources at application level, target at attribute level — the
 	// typical Figure 7 view: "which systems feed this column".
-	mixed, err := svc.RollupSides(g, LevelApplication, LevelAttribute)
+	mixed, err := svc.RollupSides(context.Background(), g, LevelApplication, LevelAttribute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func TestRollupSides(t *testing.T) {
 	}
 
 	// Equal levels delegate to the symmetric roll-up.
-	same, err := svc.RollupSides(g, LevelRelation, LevelRelation)
+	same, err := svc.RollupSides(context.Background(), g, LevelRelation, LevelRelation)
 	if err != nil {
 		t.Fatal(err)
 	}

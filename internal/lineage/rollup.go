@@ -62,11 +62,11 @@ func levelClasses(l Level) []string {
 // traversal (the "source objects" pane) at sourceLevel. "Any combination
 // of left and right hand side is possible until the most detailed level
 // is reached."
-func (s *Service) RollupSides(g *Graph, sourceLevel, targetLevel Level) (*Graph, error) {
+func (s *Service) RollupSides(ctx context.Context, g *Graph, sourceLevel, targetLevel Level) (*Graph, error) {
 	if sourceLevel == targetLevel {
-		return s.Rollup(g, sourceLevel)
+		return s.RollupCtx(ctx, g, sourceLevel)
 	}
-	view, err := s.indexedView()
+	view, err := s.indexedView(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -96,10 +96,10 @@ func (s *Service) RollupCtx(ctx context.Context, g *Graph, level Level) (*Graph,
 	if level == LevelAttribute {
 		return g, nil
 	}
-	sp, _ := obs.StartChildCtx(ctx, "lineage.rollup")
+	sp, ctx := obs.StartChildCtx(ctx, "lineage.rollup")
 	sp.SetLabel("level", level.String())
 	defer sp.Finish()
-	view, err := s.indexedView()
+	view, err := s.indexedView(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,14 @@
 // model (named <model>$<rulebase>); queries opt in by unioning the base
 // model with its index model, exactly mirroring the paper's semantics.
 //
+// The index is maintained incrementally when the base model has only
+// grown since the index was derived: one semi-naive forward-chaining
+// loop (Gupta, Mumick & Subrahmanian, SIGMOD 1993) is seeded with just
+// the added base triples and joins them against base ∪ index. A full
+// pass is the same loop seeded with every base triple and an empty
+// index; it runs when the model lost triples since (removals need DRed,
+// which this package does not implement) or has no usable add log.
+//
 // Supported rules:
 //
 //	rdfs:subClassOf     transitivity and rdf:type inheritance
@@ -25,10 +33,18 @@
 //	owl:inverseOf       including its own symmetry
 //	owl:equivalentClass / owl:equivalentProperty (as mutual sub-relations)
 //	owl:sameAs          symmetric + transitive closure
+//
+// The property-sensitive rules (statement inheritance, domain, range,
+// symmetric, transitive, inverse) never apply to the schema predicates
+// themselves (rdf:type, rdfs:subClassOf, ...), from either premise: the
+// result is then independent of the order the loop visits triples in,
+// which is what lets a delta pass reproduce a full pass exactly.
 package reason
 
 import (
+	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"mdw/internal/obs"
@@ -40,12 +56,14 @@ import (
 var (
 	obsMaterializeHist = obs.Default().Histogram("mdw_reason_materialize_seconds", nil)
 	obsDerived         = obs.Default().Counter("mdw_reason_derived_total")
+	obsFullPasses      = obs.Default().Counter("mdw_reason_full_passes_total")
 )
 
 func init() {
 	r := obs.Default()
-	r.SetHelp("mdw_reason_materialize_seconds", "Full OWLPRIME materialization latency.")
-	r.SetHelp("mdw_reason_derived_total", "Derived triples produced by materializations.")
+	r.SetHelp("mdw_reason_materialize_seconds", "OWLPRIME derivation latency, full and delta passes.")
+	r.SetHelp("mdw_reason_derived_total", "Derived triples produced by derivations (a delta pass counts only its new ones).")
+	r.SetHelp("mdw_reason_full_passes_total", "Derivations that ran in full: forced, first, or after a removal or recovery.")
 }
 
 // RulebaseOWLPrime names the default rulebase, matching the paper's
@@ -91,109 +109,177 @@ func NewEngine(st *store.Store) *Engine {
 
 // EnsureCurrent returns the name of model's OWLPRIME index model after
 // making sure it reflects the model's present generation: a missing or
-// stale index is re-materialized, a missing model is an error. It is the
-// one place readers decide entailment freshness; a writer racing the
-// call may leave the index stale again by the time it is read, which
-// callers that need a consistent snapshot detect with the basis
-// recorded on the index model (store.ModelInfo).
-func EnsureCurrent(st *store.Store, model string) (string, error) {
+// stale index is derived — from the added triples alone when the add log
+// allows, in full otherwise — and a missing model is an error. It is the
+// one place readers decide entailment freshness. Derivations are
+// single-flight per model: a caller arriving while one runs waits for
+// it and re-checks. A writer racing the call may leave the index stale
+// again by the time it is read, which callers that need a consistent
+// snapshot detect with the basis recorded on the index model
+// (store.ModelInfo).
+func EnsureCurrent(ctx context.Context, st *store.Store, model string) (string, error) {
 	idxName := IndexModelName(model, RulebaseOWLPrime)
 	if st.Current(model, idxName) {
 		return idxName, nil
 	}
-	if _, _, err := NewEngine(st).Materialize(model); err != nil {
+	mu := st.DeriveLock(model)
+	mu.Lock()
+	defer mu.Unlock()
+	if st.Current(model, idxName) {
+		return idxName, nil // derived while this caller waited
+	}
+	if _, err := NewEngine(st).derive(ctx, model, false); err != nil {
 		return "", err
 	}
 	return idxName, nil
 }
 
-// Materialize computes the OWLPRIME entailment of the named model and
-// stores the *derived-only* triples in the corresponding index model,
-// replacing any previous contents. It returns the index model name and
-// the number of derived triples.
+// Materialize recomputes the OWLPRIME entailment of the named model in
+// a full pass and stores the *derived-only* triples in the corresponding
+// index model, replacing any previous contents. It returns the index
+// model name and the number of derived triples.
+func (e *Engine) Materialize(ctx context.Context, model string) (string, int, error) {
+	mu := e.st.DeriveLock(model)
+	mu.Lock()
+	defer mu.Unlock()
+	n, err := e.derive(ctx, model, true)
+	if err != nil {
+		return "", 0, err
+	}
+	return IndexModelName(model, RulebaseOWLPrime), n, nil
+}
+
+// derive runs one pass over a snapshot of the base model and publishes
+// the result, returning the size of the published index. The caller
+// holds the model's derive lock.
 //
-// The closure is computed over a locked snapshot of the base model and
-// the finished index model is swapped in atomically, with the base
-// generation it was derived from recorded as its basis: concurrent
-// writers never race with the rule engine, readers never observe a
-// half-built index, and store.Current(model, idxName) reports whether
-// the index still reflects the base model.
-func (e *Engine) Materialize(model string) (string, int, error) {
+// A delta pass (see store.BeginDerive) extends a copy-on-write clone of
+// the published index: added base triples that were already derived
+// move out of the index — it holds derived triples only — and need no
+// propagation, since their consequences are already in the closure;
+// every other added triple seeds the loop. The result is published with
+// store.PublishDelta, so only the delta reaches the commit hook. A full
+// pass seeds the loop with every base triple, fills an empty index and
+// publishes it with store.InstallModel. Either way readers never observe
+// a half-built index, and the base generation the snapshot was taken at
+// becomes the index's basis, so store.Current(model, idxName) reports
+// whether the index still reflects the base model.
+func (e *Engine) derive(ctx context.Context, model string, full bool) (int, error) {
 	t0 := time.Now()
 	idxName := IndexModelName(model, RulebaseOWLPrime)
-	// Working closure starts as a detached snapshot of the base model;
-	// everything the rules add beyond the base goes to the index model.
-	work := e.st.SnapshotModel(model)
-	if work == nil {
-		return "", 0, fmt.Errorf("reason: no such model %q", model)
+	d := e.st.BeginDerive(model, idxName, full)
+	if d == nil {
+		return 0, fmt.Errorf("reason: no such model %q", model)
 	}
-	// The snapshot carries its own fresh generation; the base generation
-	// it was taken at — the derivation basis — is its Basis.
-	basis := work.Basis()
-	derived := store.NewModel(idxName)
+	sp, _ := obs.StartChildCtx(ctx, "reason.derive")
+	defer sp.Finish()
 
-	var queue []store.ETriple
-	work.ForEach(store.Wildcard, store.Wildcard, store.Wildcard, func(t store.ETriple) bool {
-		queue = append(queue, t)
-		return true
-	})
-
-	emit := func(t store.ETriple) {
-		if work.Add(t) {
-			derived.Add(t)
+	c := &closure{base: d.Base, idx: d.Index}
+	var queue, added, removed []store.ETriple
+	if c.idx == nil {
+		c.idx = store.NewModel(idxName)
+		d.Base.ForEach(store.Wildcard, store.Wildcard, store.Wildcard, func(t store.ETriple) bool {
+			queue = append(queue, t)
+			return true
+		})
+	}
+	for _, t := range d.Delta { // empty on a full pass
+		if c.idx.Remove(t) {
+			removed = append(removed, t)
+		} else {
 			queue = append(queue, t)
 		}
 	}
-
+	delta := len(queue) + len(removed)
+	emit := func(t store.ETriple) {
+		if c.base.Contains(t) || !c.idx.Add(t) {
+			return
+		}
+		added = append(added, t)
+		queue = append(queue, t)
+	}
 	for len(queue) > 0 {
 		t := queue[0]
 		queue = queue[1:]
-		e.applyRules(work, t, emit)
+		e.applyRules(c, t, emit)
 	}
-	derived.SetBasis(basis)
-	e.st.InstallModel(derived)
+	c.idx.SetBasis(d.Base.Basis())
+
+	mode := "delta"
+	if d.Index == nil {
+		mode = "full"
+		e.st.InstallModel(c.idx)
+		obsFullPasses.Inc()
+	} else if !e.st.PublishDelta(d, added, removed) {
+		// The index was replaced behind the derive lock (dropped or
+		// reinstalled); leave that one in place, it is stale at worst.
+		sp.SetLabel("discarded", "true")
+	}
+	sp.SetLabel("model", model).
+		SetLabel("mode", mode).
+		SetLabel("delta", strconv.Itoa(delta)).
+		SetLabel("added", strconv.Itoa(len(added))).
+		SetLabel("removed", strconv.Itoa(len(removed)))
 	obsMaterializeHist.ObserveSince(t0)
-	obsDerived.Add(int64(derived.Len()))
-	return idxName, derived.Len(), nil
+	obsDerived.Add(int64(len(added)))
+	return c.idx.Len(), nil
+}
+
+// closure is the working closure of one pass: the base snapshot plus
+// the index being extended. The two are disjoint by construction (the
+// index holds only triples the base lacks), so their union needs no
+// deduplication. Iteration reads the models' live index nodes; triples
+// emitted meanwhile may or may not be visited, which is harmless
+// because each is queued and joined against the closure on its own.
+type closure struct {
+	base, idx *store.Model
+}
+
+func (c *closure) contains(t store.ETriple) bool {
+	return c.base.Contains(t) || c.idx.Contains(t)
+}
+
+// each streams every triple of the closure matching the pattern.
+func (c *closure) each(s, p, o store.ID, fn func(store.ETriple)) {
+	visit := func(t store.ETriple) bool { fn(t); return true }
+	c.base.ForEach(s, p, o, visit)
+	c.idx.ForEach(s, p, o, visit)
+}
+
+// objects streams the objects of (s, p, ·).
+func (c *closure) objects(s, p store.ID, fn func(store.ID)) {
+	c.each(s, p, store.Wildcard, func(t store.ETriple) { fn(t.O) })
+}
+
+// subjects streams the subjects of (·, p, o).
+func (c *closure) subjects(p, o store.ID, fn func(store.ID)) {
+	c.each(store.Wildcard, p, o, func(t store.ETriple) { fn(t.S) })
 }
 
 // applyRules derives the immediate consequences of triple t against the
 // current closure and hands each to emit.
-func (e *Engine) applyRules(all *store.Model, t store.ETriple, emit func(store.ETriple)) {
+func (e *Engine) applyRules(all *closure, t store.ETriple, emit func(store.ETriple)) {
 	s, p, o := t.S, t.P, t.O
 
 	switch p {
 	case e.subClassID:
 		// Transitivity, both join directions.
-		for _, c := range all.Objects(o, e.subClassID) {
-			emit(store.ETriple{S: s, P: e.subClassID, O: c})
-		}
-		for _, a := range all.Subjects(e.subClassID, s) {
-			emit(store.ETriple{S: a, P: e.subClassID, O: o})
-		}
+		all.objects(o, e.subClassID, func(c store.ID) { emit(store.ETriple{S: s, P: e.subClassID, O: c}) })
+		all.subjects(e.subClassID, s, func(a store.ID) { emit(store.ETriple{S: a, P: e.subClassID, O: o}) })
 		// Type inheritance for existing instances of the subclass.
-		for _, x := range all.Subjects(e.typeID, s) {
-			emit(store.ETriple{S: x, P: e.typeID, O: o})
-		}
+		all.subjects(e.typeID, s, func(x store.ID) { emit(store.ETriple{S: x, P: e.typeID, O: o}) })
 
 	case e.subPropID:
-		for _, c := range all.Objects(o, e.subPropID) {
-			emit(store.ETriple{S: s, P: e.subPropID, O: c})
-		}
-		for _, a := range all.Subjects(e.subPropID, s) {
-			emit(store.ETriple{S: a, P: e.subPropID, O: o})
-		}
+		all.objects(o, e.subPropID, func(c store.ID) { emit(store.ETriple{S: s, P: e.subPropID, O: c}) })
+		all.subjects(e.subPropID, s, func(a store.ID) { emit(store.ETriple{S: a, P: e.subPropID, O: o}) })
 		// Statement inheritance: every (x s y) also holds under o.
-		all.ForEach(store.Wildcard, s, store.Wildcard, func(st store.ETriple) bool {
-			emit(store.ETriple{S: st.S, P: o, O: st.O})
-			return true
-		})
+		if !e.isSchemaPredicate(s) {
+			all.each(store.Wildcard, s, store.Wildcard, func(st store.ETriple) { emit(store.ETriple{S: st.S, P: o, O: st.O}) })
+		}
 
 	case e.typeID:
 		// Class membership propagates up the hierarchy.
-		for _, c := range all.Objects(o, e.subClassID) {
-			emit(store.ETriple{S: s, P: e.typeID, O: c})
-		}
+		all.objects(o, e.subClassID, func(c store.ID) { emit(store.ETriple{S: s, P: e.typeID, O: c}) })
 		if e.isSchemaPredicate(s) {
 			// Declaring a schema predicate symmetric/transitive would
 			// corrupt the schema rules themselves; ignore it.
@@ -201,45 +287,38 @@ func (e *Engine) applyRules(all *store.Model, t store.ETriple, emit func(store.E
 		}
 		switch o {
 		case e.symmetricID:
-			all.ForEach(store.Wildcard, s, store.Wildcard, func(st store.ETriple) bool {
-				emit(store.ETriple{S: st.O, P: s, O: st.S})
-				return true
-			})
+			all.each(store.Wildcard, s, store.Wildcard, func(st store.ETriple) { emit(store.ETriple{S: st.O, P: s, O: st.S}) })
 		case e.transitiveID:
-			all.ForEach(store.Wildcard, s, store.Wildcard, func(st store.ETriple) bool {
-				for _, z := range all.Objects(st.O, s) {
-					emit(store.ETriple{S: st.S, P: s, O: z})
-				}
-				return true
+			all.each(store.Wildcard, s, store.Wildcard, func(st store.ETriple) {
+				all.objects(st.O, s, func(z store.ID) { emit(store.ETriple{S: st.S, P: s, O: z}) })
 			})
 		}
 
 	case e.domainID:
 		// t = (prop, domain, class): type every existing subject.
-		for _, x := range all.SubjectsOf(s) {
-			emit(store.ETriple{S: x, P: e.typeID, O: o})
+		if !e.isSchemaPredicate(s) {
+			all.each(store.Wildcard, s, store.Wildcard, func(st store.ETriple) { emit(store.ETriple{S: st.S, P: e.typeID, O: o}) })
 		}
 
 	case e.rangeID:
-		all.ForEach(store.Wildcard, s, store.Wildcard, func(st store.ETriple) bool {
-			if !e.isLiteral(st.O) {
-				emit(store.ETriple{S: st.O, P: e.typeID, O: o})
-			}
-			return true
-		})
+		if !e.isSchemaPredicate(s) {
+			all.each(store.Wildcard, s, store.Wildcard, func(st store.ETriple) {
+				if !e.isLiteral(st.O) {
+					emit(store.ETriple{S: st.O, P: e.typeID, O: o})
+				}
+			})
+		}
 
 	case e.inverseID:
 		// t = (p', inverseOf, q): swap all existing statements both ways,
 		// and record the symmetric inverse declaration.
 		emit(store.ETriple{S: o, P: e.inverseID, O: s})
-		all.ForEach(store.Wildcard, s, store.Wildcard, func(st store.ETriple) bool {
-			emit(store.ETriple{S: st.O, P: o, O: st.S})
-			return true
-		})
-		all.ForEach(store.Wildcard, o, store.Wildcard, func(st store.ETriple) bool {
-			emit(store.ETriple{S: st.O, P: s, O: st.S})
-			return true
-		})
+		if !e.isSchemaPredicate(s) {
+			all.each(store.Wildcard, s, store.Wildcard, func(st store.ETriple) { emit(store.ETriple{S: st.O, P: o, O: st.S}) })
+		}
+		if !e.isSchemaPredicate(o) {
+			all.each(store.Wildcard, o, store.Wildcard, func(st store.ETriple) { emit(store.ETriple{S: st.O, P: s, O: st.S}) })
+		}
 
 	case e.equivClassID:
 		emit(store.ETriple{S: s, P: e.subClassID, O: o})
@@ -251,11 +330,11 @@ func (e *Engine) applyRules(all *store.Model, t store.ETriple, emit func(store.E
 
 	case e.sameAsID:
 		emit(store.ETriple{S: o, P: e.sameAsID, O: s})
-		for _, z := range all.Objects(o, e.sameAsID) {
+		all.objects(o, e.sameAsID, func(z store.ID) {
 			if z != s {
 				emit(store.ETriple{S: s, P: e.sameAsID, O: z})
 			}
-		}
+		})
 	}
 
 	// Generic property-sensitive rules that fire for every statement.
@@ -264,33 +343,19 @@ func (e *Engine) applyRules(all *store.Model, t store.ETriple, emit func(store.E
 	if e.isSchemaPredicate(p) {
 		return
 	}
-	if all.Contains(store.ETriple{S: p, P: e.typeID, O: e.symmetricID}) {
+	if all.contains(store.ETriple{S: p, P: e.typeID, O: e.symmetricID}) {
 		emit(store.ETriple{S: o, P: p, O: s})
 	}
-	if all.Contains(store.ETriple{S: p, P: e.typeID, O: e.transitiveID}) {
-		for _, z := range all.Objects(o, p) {
-			emit(store.ETriple{S: s, P: p, O: z})
-		}
-		for _, a := range all.Subjects(p, s) {
-			emit(store.ETriple{S: a, P: p, O: o})
-		}
+	if all.contains(store.ETriple{S: p, P: e.typeID, O: e.transitiveID}) {
+		all.objects(o, p, func(z store.ID) { emit(store.ETriple{S: s, P: p, O: z}) })
+		all.subjects(p, s, func(a store.ID) { emit(store.ETriple{S: a, P: p, O: o}) })
 	}
-	for _, q := range all.Objects(p, e.subPropID) {
-		emit(store.ETriple{S: s, P: q, O: o})
-	}
-	for _, q := range all.Objects(p, e.inverseID) {
-		emit(store.ETriple{S: o, P: q, O: s})
-	}
-	for _, q := range all.Subjects(e.inverseID, p) {
-		emit(store.ETriple{S: o, P: q, O: s})
-	}
-	for _, c := range all.Objects(p, e.domainID) {
-		emit(store.ETriple{S: s, P: e.typeID, O: c})
-	}
+	all.objects(p, e.subPropID, func(q store.ID) { emit(store.ETriple{S: s, P: q, O: o}) })
+	all.objects(p, e.inverseID, func(q store.ID) { emit(store.ETriple{S: o, P: q, O: s}) })
+	all.subjects(e.inverseID, p, func(q store.ID) { emit(store.ETriple{S: o, P: q, O: s}) })
+	all.objects(p, e.domainID, func(c store.ID) { emit(store.ETriple{S: s, P: e.typeID, O: c}) })
 	if !e.isLiteral(o) {
-		for _, c := range all.Objects(p, e.rangeID) {
-			emit(store.ETriple{S: o, P: e.typeID, O: c})
-		}
+		all.objects(p, e.rangeID, func(c store.ID) { emit(store.ETriple{S: o, P: e.typeID, O: c}) })
 	}
 }
 
@@ -305,20 +370,4 @@ func (e *Engine) isSchemaPredicate(p store.ID) bool {
 
 func (e *Engine) isLiteral(id store.ID) bool {
 	return e.st.Dict().Term(id).IsLiteral()
-}
-
-// Entail is a convenience for tests and small graphs: it loads ts into a
-// scratch store, materializes, and returns base + derived triples.
-func Entail(ts []rdf.Triple) ([]rdf.Triple, error) {
-	st := store.New()
-	st.AddAll("m", ts)
-	eng := NewEngine(st)
-	idx, _, err := eng.Materialize("m")
-	if err != nil {
-		return nil, err
-	}
-	out := st.Triples("m")
-	out = append(out, st.Triples(idx)...)
-	rdf.SortTriples(out)
-	return rdf.DedupTriples(out), nil
 }

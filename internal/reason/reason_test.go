@@ -1,12 +1,28 @@
 package reason
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"mdw/internal/rdf"
 	"mdw/internal/store"
 )
+
+// Entail loads ts into a scratch store, materializes, and returns base + derived triples.
+func Entail(ts []rdf.Triple) ([]rdf.Triple, error) {
+	st := store.New()
+	st.AddAll("m", ts)
+	eng := NewEngine(st)
+	idx, _, err := eng.Materialize(context.Background(), "m")
+	if err != nil {
+		return nil, err
+	}
+	out := st.Triples("m")
+	out = append(out, st.Triples(idx)...)
+	rdf.SortTriples(out)
+	return rdf.DedupTriples(out), nil
+}
 
 func iri(s string) rdf.Term { return rdf.IRI("http://t/" + s) }
 
@@ -224,7 +240,7 @@ func TestDerivedTriplesSeparateFromBase(t *testing.T) {
 	})
 	baseLen := st.Len("DWH_CURR")
 	eng := NewEngine(st)
-	idx, n, err := eng.Materialize("DWH_CURR")
+	idx, n, err := eng.Materialize(context.Background(), "DWH_CURR")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +268,11 @@ func TestMaterializeIdempotent(t *testing.T) {
 		rdf.T(iri("A"), rdf.SubClassOf, iri("B")),
 	})
 	eng := NewEngine(st)
-	_, n1, err := eng.Materialize("m")
+	_, n1, err := eng.Materialize(context.Background(), "m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, n2, err := eng.Materialize("m")
+	_, n2, err := eng.Materialize(context.Background(), "m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +283,7 @@ func TestMaterializeIdempotent(t *testing.T) {
 
 func TestMaterializeMissingModel(t *testing.T) {
 	eng := NewEngine(store.New())
-	if _, _, err := eng.Materialize("missing"); err == nil {
+	if _, _, err := eng.Materialize(context.Background(), "missing"); err == nil {
 		t.Error("expected error for missing model")
 	}
 }

@@ -201,7 +201,7 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 		// Bring the entailment up to date outside the read lock
 		// (Materialize snapshots the base and swaps the index model in
 		// atomically).
-		idxName, err := reason.EnsureCurrent(s.st, s.model)
+		idxName, err := reason.EnsureCurrent(ctx, s.st, s.model)
 		if err != nil {
 			return nil, fmt.Errorf("search: %w", err)
 		}
@@ -257,8 +257,14 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 // index as needed. It fails only when the model is missing or keeps
 // mutating faster than it can be indexed.
 func EnsureIndex(st *store.Store, model string, mgr *textindex.Manager) (*textindex.Index, error) {
+	return EnsureIndexCtx(context.Background(), st, model, mgr)
+}
+
+// EnsureIndexCtx is EnsureIndex carrying a request context: an
+// entailment derivation it triggers nests in the request's trace.
+func EnsureIndexCtx(ctx context.Context, st *store.Store, model string, mgr *textindex.Manager) (*textindex.Index, error) {
 	for attempt := 0; attempt <= maxFreshAttempts; attempt++ {
-		idxName, err := reason.EnsureCurrent(st, model)
+		idxName, err := reason.EnsureCurrent(ctx, st, model)
 		if err != nil {
 			return nil, fmt.Errorf("search: %w", err)
 		}

@@ -54,7 +54,7 @@ type Request struct {
 func (r Request) Exec(ctx context.Context, st *store.Store, opt sparql.ExecOptions) (*sparql.Result, *sparql.ExecStats, error) {
 	sp, ctx := obs.StartChildCtx(ctx, "semmatch")
 	defer sp.Finish()
-	src, err := r.source(st)
+	src, err := r.source(ctx, st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -71,7 +71,7 @@ func (r Request) Exec(ctx context.Context, st *store.Store, opt sparql.ExecOptio
 // Index models are brought up to date exactly as Exec would, so the
 // explained plan sees the statistics execution would see.
 func (r Request) Explain(ctx context.Context, st *store.Store) (string, error) {
-	src, err := r.source(st)
+	src, err := r.source(ctx, st)
 	if err != nil {
 		return "", err
 	}
@@ -85,7 +85,7 @@ func (r Request) Explain(ctx context.Context, st *store.Store) (string, error) {
 // source resolves the request's SEM_MODELS/SEM_RULEBASES combination to
 // the union view execution runs against, bringing index models up to
 // date on demand.
-func (r Request) source(st *store.Store) (store.Source, error) {
+func (r Request) source(ctx context.Context, st *store.Store) (store.Source, error) {
 	if len(r.Models) == 0 {
 		return nil, fmt.Errorf("semmatch: no models given")
 	}
@@ -101,7 +101,7 @@ func (r Request) source(st *store.Store) (store.Source, error) {
 		}
 		names = append(names, m)
 		if len(r.Rulebases) > 0 {
-			idx, err := reason.EnsureCurrent(st, m)
+			idx, err := reason.EnsureCurrent(ctx, st, m)
 			if err != nil {
 				return nil, fmt.Errorf("semmatch: %w", err)
 			}

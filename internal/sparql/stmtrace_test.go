@@ -32,7 +32,7 @@ func TestConcurrentRecordSnapshotReplan(t *testing.T) {
 	// Detached snapshot: the executing source must not be mutated while
 	// queries stream over it (load-then-query discipline); the shared
 	// dictionary, which has its own lock, is what churns.
-	src := st.SnapshotModel("m")
+	src := st.BeginDerive("m", "m$IDX", true).Base
 
 	// The constant <http://x/never-interned> never enters the dictionary,
 	// so the plan stays unresolved and every dictionary growth forces a

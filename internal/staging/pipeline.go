@@ -111,7 +111,7 @@ func (t *Table) BulkLoad(st *store.Store, model string, materialize bool) (LoadS
 // ctx carries one, the root of a new trace otherwise — labelled with the
 // staged/loaded/derived triple counts.
 func (t *Table) BulkLoadCtx(ctx context.Context, st *store.Store, model string, materialize bool) (LoadStats, error) {
-	sp, _ := obs.StartChildCtx(ctx, "staging.bulkload")
+	sp, ctx := obs.StartChildCtx(ctx, "staging.bulkload")
 	sp.SetLabel("model", model)
 	defer sp.Finish()
 	t0 := time.Now()
@@ -124,7 +124,7 @@ func (t *Table) BulkLoadCtx(ctx context.Context, st *store.Store, model string, 
 	stats := LoadStats{Staged: n, Model: model}
 	stats.Loaded = st.AddAll(model, staged)
 	if materialize {
-		idx, nDerived, err := reason.NewEngine(st).Materialize(model)
+		idx, nDerived, err := reason.NewEngine(st).Materialize(ctx, model)
 		if err != nil {
 			return stats, err
 		}

@@ -81,7 +81,7 @@ func TestStoreCloneGenUnique(t *testing.T) {
 		t.Fatalf("re-clone of %q reused dropped generation %d", "a", gA)
 	}
 	record("a")
-	snap := s.SnapshotModel("src")
+	snap := s.BeginDerive("src", "src$IDX", true).Base
 	if _, dup := seen[snap.Gen()]; dup {
 		t.Fatalf("snapshot generation %d aliases a model", snap.Gen())
 	}
@@ -189,7 +189,7 @@ func TestSnapshotConcurrentWithStoreWrites(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.Add("m", rdf.T(iri2("s", i%10), iri2("p", i%3), iri2("o", i)))
 	}
-	snap := s.SnapshotModel("m")
+	snap := s.BeginDerive("m", "m$IDX", true).Base
 	wantLen := snap.Len()
 	var wg sync.WaitGroup
 	wg.Add(3)
@@ -216,7 +216,7 @@ func TestSnapshotConcurrentWithStoreWrites(t *testing.T) {
 	go func() { // concurrent further snapshots
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			s2 := s.SnapshotModel("m")
+			s2 := s.BeginDerive("m", "m$IDX", true).Base
 			s2.Add(ETriple{1, 1, ID(i)})
 		}
 	}()

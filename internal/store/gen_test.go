@@ -45,8 +45,8 @@ func TestCurrentAndBasis(t *testing.T) {
 	if st.Current("base", "base$IDX") {
 		t.Fatal("missing derived model reported current")
 	}
-	// Derive via the snapshot/install protocol the reasoner uses.
-	snap := st.SnapshotModel("base")
+	// Derive via the snapshot/install protocol of a full pass.
+	snap := st.BeginDerive("base", "base$IDX", true).Base
 	derived := NewModel("base$IDX")
 	snap.ForEach(Wildcard, Wildcard, Wildcard, func(e ETriple) bool {
 		derived.Add(e)
@@ -67,10 +67,10 @@ func TestCurrentAndBasis(t *testing.T) {
 	}
 }
 
-func TestSnapshotModelIsDetached(t *testing.T) {
+func TestDeriveSnapshotIsDetached(t *testing.T) {
 	st := New()
 	st.Add("m", rdf.T(iri("s"), iri("p"), iri("o")))
-	snap := st.SnapshotModel("m")
+	snap := st.BeginDerive("m", "m$IDX", true).Base
 	if snap == nil || snap.Len() != 1 {
 		t.Fatalf("snapshot = %v", snap)
 	}
@@ -92,8 +92,61 @@ func TestSnapshotModelIsDetached(t *testing.T) {
 	if st.Len("m") != 2 {
 		t.Error("snapshot write visible in store")
 	}
-	if st.SnapshotModel("missing") != nil {
-		t.Error("snapshot of missing model is not nil")
+	if st.BeginDerive("missing", "missing$IDX", true) != nil {
+		t.Error("derivation of a missing model is not nil")
+	}
+}
+
+// TestBeginDeriveDeltaCoverage checks when BeginDerive offers a delta
+// pass: only when the base model's add log runs from the published
+// derived model's basis to the present, with no removal since, and
+// never on a clone (whose log starts unarmed).
+func TestBeginDeriveDeltaCoverage(t *testing.T) {
+	st := New()
+	st.Add("m", rdf.T(iri("s"), iri("p"), iri("o")))
+	publish := func(d *Derivation) {
+		idx := NewModel("m$IDX")
+		idx.SetBasis(d.Base.Basis())
+		st.InstallModel(idx)
+	}
+	d := st.BeginDerive("m", "m$IDX", false)
+	if d.Index != nil {
+		t.Fatal("delta offered without a derived model")
+	}
+	publish(d)
+	st.Add("m", rdf.T(iri("s2"), iri("p"), iri("o")))
+	d = st.BeginDerive("m", "m$IDX", false)
+	if d.Index == nil || len(d.Delta) != 1 {
+		t.Fatalf("after one add: index %v, delta %v; want a one-triple delta", d.Index, d.Delta)
+	}
+	d.Index.SetBasis(d.Base.Basis())
+	if !st.PublishDelta(d, nil, nil) {
+		t.Fatal("PublishDelta refused an unchanged derived model")
+	}
+	if !st.Current("m", "m$IDX") {
+		t.Fatal("published delta is not current")
+	}
+	if st.PublishDelta(d, nil, nil) {
+		t.Error("PublishDelta accepted a derived model that was replaced meanwhile")
+	}
+	st.Add("m", rdf.T(iri("s3"), iri("p"), iri("o")))
+	if d := st.BeginDerive("m", "m$IDX", true); d.Index != nil {
+		t.Error("forced full pass offered a delta")
+	}
+	publish(st.BeginDerive("m", "m$IDX", true))
+	st.Remove("m", rdf.T(iri("s3"), iri("p"), iri("o")))
+	if d := st.BeginDerive("m", "m$IDX", false); d.Index != nil {
+		t.Error("delta offered across a removal")
+	}
+	if err := st.CloneModel("m", "c"); err != nil {
+		t.Fatal(err)
+	}
+	cIdx := NewModel("c$IDX")
+	cIdx.SetBasis(st.Generation("c"))
+	st.InstallModel(cIdx)
+	st.Add("c", rdf.T(iri("s4"), iri("p"), iri("o")))
+	if d := st.BeginDerive("c", "c$IDX", false); d.Index != nil {
+		t.Error("delta offered on a clone whose log was never armed")
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 // Op identifies the kind of a committed store mutation, as observed by a
 // CommitHook. The set mirrors the store's mutating entry points: triple
 // insertion (Add/AddAll and the staging bulk loads built on them),
-// removal, model lifecycle (DropModel/CloneModel), and atomic publication
-// of derived models (InstallModel, used by reason.Materialize).
+// removal, model lifecycle (DropModel/CloneModel), atomic publication
+// of derived models (InstallModel, used by the reasoner's full passes),
+// and delta publication of derived models (PublishDelta, used by its
+// delta passes).
 type Op uint8
 
 const (
@@ -24,6 +26,10 @@ const (
 	OpClone
 	// OpInstall records atomic publication of a model via InstallModel.
 	OpInstall
+	// OpDerive records a delta publication via PublishDelta: the derived
+	// model moved from generation Prev to Gen by removing Removed and
+	// adding Triples.
+	OpDerive
 )
 
 // String returns the canonical lower-case name of the op.
@@ -39,6 +45,8 @@ func (o Op) String() string {
 		return "clone"
 	case OpInstall:
 		return "install"
+	case OpDerive:
+		return "derive"
 	default:
 		return "op?"
 	}
@@ -56,18 +64,24 @@ type Mutation struct {
 	Op    Op
 	Model string // target model (destination for OpClone)
 	Src   string // source model (OpClone only)
-	// Triples holds the triples actually inserted (OpAdd) or the triple
-	// actually removed (OpRemove). Duplicates that changed nothing are
-	// never reported.
+	// Triples holds the triples actually inserted (OpAdd, OpDerive) or
+	// the triple actually removed (OpRemove). Duplicates that changed
+	// nothing are never reported.
 	Triples []ETriple
+	// Removed holds the triples an OpDerive removed from the derived
+	// model (base triples that used to be derived).
+	Removed []ETriple
 	// Gen is the target model's generation after the mutation (the clone's
 	// generation for OpClone, the installed model's for OpInstall, 0 for
 	// OpDrop). Replaying the same mutations onto the same prior state
 	// reproduces these generations exactly, which lets recovery verify
 	// convergence record by record.
 	Gen uint64
-	// Basis is the installed model's recorded derivation basis
-	// (OpInstall only).
+	// Prev is the derived model's generation before an OpDerive; replay
+	// applies the delta only to a model at exactly that generation.
+	Prev uint64
+	// Basis is the published model's recorded derivation basis
+	// (OpInstall and OpDerive).
 	Basis uint64
 	// Installed is the model just published (OpInstall only). The hook may
 	// read it — under the write lock nothing else mutates it — but must

@@ -83,6 +83,16 @@ type Model struct {
 	// never alias across instances. Never persisted — it has no replay
 	// meaning.
 	uid uint64
+	// addLog lists the triples added since the last derivation snapshot
+	// (Store.BeginDerive), which arms the log and resets it to start at
+	// generation logFrom. A derivation whose recorded basis equals logFrom
+	// can therefore be brought up to date from the log alone. Remove
+	// disarms it (a delta of additions cannot express a removal); clones,
+	// installed and recovered models start unarmed. Entries are distinct
+	// triples present in the model, so the log never outgrows the model.
+	addLog   []ETriple
+	logArmed bool
+	logFrom  uint64
 }
 
 // modelUIDs allocates Model.uid values.
@@ -144,6 +154,9 @@ func (m *Model) Add(t ETriple) bool {
 	m.predSize[t.P]++
 	m.size++
 	m.gen++
+	if m.logArmed {
+		m.addLog = append(m.addLog, t)
+	}
 	return true
 }
 
@@ -161,6 +174,7 @@ func (m *Model) Remove(t ETriple) bool {
 	}
 	m.size--
 	m.gen++
+	m.logArmed, m.addLog = false, nil
 	return true
 }
 
@@ -412,21 +426,6 @@ func (m *Model) Objects(s, p ID) []ID {
 	return out
 }
 
-// SubjectsOf returns the distinct subjects of statements with predicate p.
-func (m *Model) SubjectsOf(p ID) []ID {
-	seen := make(map[ID]bool)
-	var out []ID
-	for _, subs := range m.pos[p] {
-		for _, s := range subs {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-	}
-	return out
-}
-
 // Predicates returns the distinct predicates appearing in the model.
 func (m *Model) Predicates() []ID {
 	out := make([]ID, 0, len(m.pos))
@@ -449,7 +448,7 @@ func (m *Model) Predicates() []ID {
 // the copy was taken at, so derivations computed from the clone can
 // still be checked against the original. Two standalone clones of the
 // same model share a generation sequence; Store.CloneModel and
-// Store.SnapshotModel hand out store-wide unique generations instead.
+// Store.BeginDerive hand out store-wide unique generations instead.
 func (m *Model) Clone(name string) *Model {
 	return m.cloneAt(name, ((m.gen>>32)+1)<<32+1)
 }

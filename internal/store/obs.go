@@ -5,14 +5,15 @@ import "mdw/internal/obs"
 // Metric handles, resolved once at package init so the hot paths below
 // pay a single atomic add each — never a registry lookup.
 var (
-	obsAdds       = obs.Default().Counter("mdw_store_adds_total")
-	obsRemoves    = obs.Default().Counter("mdw_store_removes_total")
-	obsLookups    = obs.Default().Counter("mdw_store_lookups_total")
-	obsInstalls   = obs.Default().Counter("mdw_store_installs_total")
-	obsStatsHits  = obs.Default().Counter("mdw_store_statscache_total", "result", "hit")
-	obsStatsMiss  = obs.Default().Counter("mdw_store_statscache_total", "result", "miss")
-	obsStatsBuild = obs.Default().Counter("mdw_store_statscache_rebuilds_total")
-	obsClones     = obs.Default().Counter("mdw_store_clones_total")
+	obsAdds           = obs.Default().Counter("mdw_store_adds_total")
+	obsRemoves        = obs.Default().Counter("mdw_store_removes_total")
+	obsLookups        = obs.Default().Counter("mdw_store_lookups_total")
+	obsInstalls       = obs.Default().Counter("mdw_store_installs_total")
+	obsDeltaPublishes = obs.Default().Counter("mdw_store_delta_publishes_total")
+	obsStatsHits      = obs.Default().Counter("mdw_store_statscache_total", "result", "hit")
+	obsStatsMiss      = obs.Default().Counter("mdw_store_statscache_total", "result", "miss")
+	obsStatsBuild     = obs.Default().Counter("mdw_store_statscache_rebuilds_total")
+	obsClones         = obs.Default().Counter("mdw_store_clones_total")
 )
 
 func init() {
@@ -21,6 +22,7 @@ func init() {
 	r.SetHelp("mdw_store_removes_total", "Triples removed from models.")
 	r.SetHelp("mdw_store_lookups_total", "Locked pattern lookups (ForEach/Match/CountPattern/Contains).")
 	r.SetHelp("mdw_store_installs_total", "Models atomically published via InstallModel.")
+	r.SetHelp("mdw_store_delta_publishes_total", "Derived models published as a delta via PublishDelta or its replay.")
 	r.SetHelp("mdw_store_statscache_total", "Per-predicate statistics cache probes by result.")
 	r.SetHelp("mdw_store_statscache_rebuilds_total", "Statistics cache resets forced by a new model generation.")
 	r.SetHelp("mdw_store_clones_total", "Copy-on-write model clones published via CloneModel.")

@@ -29,11 +29,14 @@ type Store struct {
 	// carrying it is dropped (a reused (name, generation) pair could
 	// alias stale results-cache entries).
 	cloneEpoch uint64
+	// derivers holds the per-base-model mutexes that serialize
+	// derivations (see DeriveLock). Guarded by mu.
+	derivers map[string]*sync.Mutex
 }
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{dict: NewDict(), models: make(map[string]*Model)}
+	return &Store{dict: NewDict(), models: make(map[string]*Model), derivers: make(map[string]*sync.Mutex)}
 }
 
 // Dict exposes the shared term dictionary.
@@ -90,23 +93,6 @@ func (s *Store) Current(base, idx string) bool {
 	return ok && i.basis == b.gen
 }
 
-// SnapshotModel returns a copy-on-write copy of the named model (nil if
-// absent). The copy is detached: the caller owns it and may read or
-// mutate it freely while other goroutines keep writing to the store —
-// the safe way to run a long computation over a consistent state. The
-// brief write lock covers the ownership bookkeeping on the source; the
-// copy itself is O(distinct terms), not O(triples). The snapshot carries
-// a fresh generation; the source generation it was taken at is Basis().
-func (s *Store) SnapshotModel(model string) *Model {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.models[model]
-	if !ok {
-		return nil
-	}
-	return m.cloneAt(model, s.nextCloneGenLocked())
-}
-
 // nextCloneGenLocked allocates the generation for a fresh clone: low
 // word 1 under a salt strictly greater than any salt the store has seen,
 // so the clone's generation sequence can never collide with its
@@ -122,6 +108,128 @@ func (s *Store) nextCloneGenLocked() uint64 {
 	salt++
 	s.cloneEpoch = salt
 	return salt<<32 + 1
+}
+
+// DeriveLock returns the mutex that serializes derivations from the
+// named base model: the reasoner holds it from BeginDerive to the
+// publish, so at most one derivation of a model is in flight and a
+// reader that arrives meanwhile waits for it instead of repeating it.
+func (s *Store) DeriveLock(base string) *sync.Mutex {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mu, ok := s.derivers[base]
+	if !ok {
+		mu = &sync.Mutex{}
+		s.derivers[base] = mu
+	}
+	return mu
+}
+
+// Derivation is the consistent starting point of one derivation pass
+// from a base model to its derived model, taken by BeginDerive.
+type Derivation struct {
+	// Base is a detached copy-on-write snapshot of the base model: the
+	// caller owns it and may read or mutate it freely while other
+	// goroutines keep writing to the store. The copy costs O(distinct
+	// terms), not O(triples). It carries a fresh generation; its Basis()
+	// is the base generation the pass derives from.
+	Base *Model
+	// Index is a copy-on-write clone of the published derived model for
+	// a delta pass to extend, or nil when the pass must run in full.
+	Index *Model
+	// Delta lists the base triples added since Index's basis: the seed
+	// of a delta pass (nil for a full pass).
+	Delta []ETriple
+	// prev and prevGen identify the published instance Index was cloned
+	// from; PublishDelta succeeds only if it is still published unchanged.
+	prev    *Model
+	prevGen uint64
+}
+
+// BeginDerive snapshots the named base model for a derivation into the
+// derived model and, in the same critical section, re-arms the base
+// model's add log so the next derivation can start where this one does.
+// Unless full is set, it also prepares a delta pass: when the add log
+// covers exactly the span from the published derived model's basis to
+// the present generation, it hands out that log as Delta together with
+// a copy-on-write clone of the derived model. Otherwise (removals since,
+// a missing or foreign derived model, an unarmed log) Index is nil and
+// the pass runs in full. It returns nil when the base model is absent.
+func (s *Store) BeginDerive(base, derived string, full bool) *Derivation {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, ok := s.models[base]
+	if !ok {
+		return nil
+	}
+	d := &Derivation{Base: m.cloneAt(base, s.nextCloneGenLocked())}
+	if cur, ok := s.models[derived]; ok && !full && m.logArmed && m.logFrom == cur.basis {
+		d.Delta, d.prev, d.prevGen = m.addLog, cur, cur.gen
+		d.Index = cur.cloneAt(derived, s.nextCloneGenLocked())
+	}
+	m.addLog, m.logArmed, m.logFrom = nil, true, m.gen
+	return d
+}
+
+// PublishDelta publishes the extended derived model of a delta pass —
+// d.Index after removing removed and adding added, in that order — in
+// place of the instance it was cloned from, and reports whether it did:
+// if that instance was replaced or mutated meanwhile, nothing is
+// published. Readers holding a View over the old instance keep seeing
+// it unchanged, as with InstallModel. The commit hook sees an OpDerive
+// carrying only the delta.
+func (s *Store) PublishDelta(d *Derivation, added, removed []ETriple) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := d.Index
+	if cur, ok := s.models[m.name]; !ok || cur != d.prev || cur.gen != d.prevGen {
+		return false
+	}
+	s.models[m.name] = m
+	obsDeltaPublishes.Inc()
+	s.commit(Mutation{Op: OpDerive, Model: m.name, Triples: added, Removed: removed, Prev: d.prevGen, Gen: m.gen, Basis: m.basis})
+	return true
+}
+
+// ApplyDerive replays an OpDerive: the named model must sit at
+// generation prev; a copy-on-write clone of it then loses removed and
+// gains added, must land exactly on generation gen, and is published
+// with the given basis. Only the durable recovery path uses it.
+func (s *Store) ApplyDerive(model string, prev, gen, basis uint64, added, removed []ETriple) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur, ok := s.models[model]
+	if !ok {
+		return fmt.Errorf("store: derive: no such model %q", model)
+	}
+	if cur.gen != prev {
+		return fmt.Errorf("store: derive: model %q at generation %d, delta expects %d", model, cur.gen, prev)
+	}
+	// Every change bumps the generation once, so the clone started at
+	// gen minus the size of the delta.
+	start := gen - uint64(len(added)+len(removed))
+	if hi := start >> 32; hi > s.cloneEpoch {
+		s.cloneEpoch = hi
+	}
+	c := cur.cloneAt(model, start)
+	for _, t := range removed {
+		if !c.Remove(t) {
+			return fmt.Errorf("store: derive: removed triple absent from %q", model)
+		}
+	}
+	for _, t := range added {
+		if !c.Add(t) {
+			return fmt.Errorf("store: derive: added triple already in %q", model)
+		}
+	}
+	if c.gen != gen {
+		return fmt.Errorf("store: derive: model %q at generation %d, delta expects %d", model, c.gen, gen)
+	}
+	c.basis = basis
+	s.models[model] = c
+	obsDeltaPublishes.Inc()
+	s.commit(Mutation{Op: OpDerive, Model: model, Triples: added, Removed: removed, Prev: prev, Gen: gen, Basis: basis})
+	return nil
 }
 
 // InstallModel atomically publishes m under its name, replacing any
