@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"mdw/internal/audit"
+	"mdw/internal/core"
 	"mdw/internal/dbpedia"
 	"mdw/internal/history"
 	"mdw/internal/impact"
@@ -27,6 +28,7 @@ import (
 	"mdw/internal/rdf"
 	"mdw/internal/reason"
 	"mdw/internal/relstore"
+	"mdw/internal/rescache"
 	"mdw/internal/schemalearn"
 	"mdw/internal/search"
 	"mdw/internal/semmatch"
@@ -54,6 +56,9 @@ var (
 
 	paperOnce sync.Once
 	paperFix  *fixture
+
+	paperWHOnce sync.Once
+	paperWH     *core.Warehouse
 )
 
 func smallLandscape(b *testing.B) *fixture {
@@ -90,6 +95,29 @@ func paperLandscape(b *testing.B) *fixture {
 		paperFix = &fixture{l: l, st: st, stats: stats}
 	})
 	return paperFix
+}
+
+// paperWarehouse is the paper-scale landscape behind the Warehouse
+// facade, so queries run through Warehouse.Query with its full-text
+// index current.
+func paperWarehouse(b *testing.B) *core.Warehouse {
+	b.Helper()
+	paperWHOnce.Do(func() {
+		l := landscape.Generate(landscape.PaperScale())
+		w := core.New("")
+		if _, err := w.LoadOntology(l.Ontology); err != nil {
+			panic(err)
+		}
+		if _, err := w.LoadExports(l.Exports); err != nil {
+			panic(err)
+		}
+		w.LoadTriples(l.ExtraTriples())
+		if _, err := w.TextIndex(); err != nil {
+			panic(err)
+		}
+		paperWH = w
+	})
+	return paperWH
 }
 
 func figure3Fixture(b *testing.B) *fixture {
@@ -278,6 +306,33 @@ func BenchmarkListing1(b *testing.B) {
 		rows = len(res.Rows)
 	}
 	b.ReportMetric(float64(rows), "rows")
+}
+
+// BenchmarkListing1Paper runs Listing 1 as SPARQL through
+// Warehouse.Query at paper scale, results cache off. "customer" is served
+// by the text access path (postings, then rdf:type and rdfs:label);
+// "cust.mer" has a metacharacter, so it scans every name and the regex
+// runs once per distinct name.
+func BenchmarkListing1Paper(b *testing.B) {
+	w := paperWarehouse(b)
+	rescache.Disable()
+	defer rescache.Enable(0, 0)
+	for _, lit := range []string{"customer", "cust.mer"} {
+		q := `PREFIX rdf: <` + rdf.RDFNS + `> PREFIX rdfs: <` + rdf.RDFSNS + `> PREFIX dm: <` + rdf.DMNS + `>
+			SELECT ?class ?object WHERE { ?object rdf:type ?c . ?c rdfs:label ?class . ?object dm:hasName ?term
+			FILTER (regex(?term, "` + lit + `", "i")) } GROUP BY ?class ?object`
+		b.Run(lit, func(b *testing.B) {
+			var rows int
+			for i := 0; i < b.N; i++ {
+				res, _, err := w.Query(context.Background(), q, core.QueryOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = len(res.Rows)
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
+	}
 }
 
 // ---------------------------------------------------------------------

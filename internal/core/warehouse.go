@@ -232,7 +232,8 @@ func (w *Warehouse) Query(ctx context.Context, query string, opt QueryOptions) (
 }
 
 // querySource is the view Query and Explain run against: the base facts
-// alone, or the base model plus its up-to-date OWLPRIME index.
+// alone, or the base model plus its up-to-date OWLPRIME index, which
+// also offers the planner the warehouse's full-text index.
 func (w *Warehouse) querySource(ctx context.Context, factsOnly bool) (store.Source, error) {
 	if factsOnly {
 		return w.st.ViewOf(w.model), nil
@@ -241,7 +242,39 @@ func (w *Warehouse) querySource(ctx context.Context, factsOnly bool) (store.Sour
 	if err != nil {
 		return nil, err
 	}
-	return w.st.ViewOf(w.model, idx), nil
+	return &textSource{View: w.st.ViewOf(w.model, idx), w: w, idx: idx}, nil
+}
+
+// textSource is the base-plus-OWLPRIME query view as a
+// sparql.TextSource. The planner calls TextIndex only for a query with a
+// FILTER(regex) the text access path can serve.
+type textSource struct {
+	*store.View
+	w   *Warehouse
+	idx string // the OWLPRIME index model's name
+}
+
+// TextIndex refreshes the warehouse's full-text index if the base model
+// moved, and returns it when it covers exactly the view: the view's two
+// models are still the published base and OWLPRIME index, the index is
+// current for the base generation, and the text index was built from
+// that generation of both. Otherwise it returns nil and the planner
+// scans.
+func (s *textSource) TextIndex() *textindex.Index {
+	ix := search.FreshIndex(s.w.st, s.w.model, s.idx, s.w.tix)
+	if ix == nil {
+		return nil
+	}
+	covered := false
+	s.w.st.ReadView(func(v *store.View, infos []store.ModelInfo) {
+		cur, mine := v.Models(), s.Models()
+		covered = len(cur) == 2 && len(mine) == 2 && cur[0] == mine[0] && cur[1] == mine[1] &&
+			infos[1].Basis == infos[0].Gen && ix.Gen() == infos[0].Gen
+	}, s.w.model, s.idx)
+	if !covered {
+		return nil
+	}
+	return ix
 }
 
 // SemMatch executes an Oracle-style SEM_MATCH call (Listings 1 and 2);

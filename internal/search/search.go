@@ -275,6 +275,13 @@ func EnsureIndexCtx(ctx context.Context, st *store.Store, model string, mgr *tex
 	return nil, fmt.Errorf("search: model %q kept changing while indexing", model)
 }
 
+// FreshIndex returns the manager's index for model brought up to date
+// with the store's present generation, without materializing the
+// entailment: nil when the entailment index idxName is not current.
+func FreshIndex(st *store.Store, model, idxName string, mgr *textindex.Manager) *textindex.Index {
+	return ensureFresh(st, model, idxName, mgr, true)
+}
+
 // ensureFresh brings the manager's index for model up to date with the
 // store's present generation, keeping the expensive tokenization off the
 // store's read lock: only textindex.Collect (a cheap scan of the indexed

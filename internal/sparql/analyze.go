@@ -266,8 +266,8 @@ func (p *Plan) buildOpTree(g *planGroup, rec *execStatsRec) []*OpStats {
 				op := &rec.ops[pp.si]
 				node := &OpStats{
 					Op: "pattern",
-					Detail: fmt.Sprintf("%s %s %s",
-						explainNode(pp.tp.S), explainPath(pp.tp.P), explainNode(pp.tp.O)),
+					Detail: fmt.Sprintf("%s %s %s%s",
+						explainNode(pp.tp.S), explainPath(pp.tp.P), explainNode(pp.tp.O), pp.accessLabel()),
 					Estimate: -1,
 					Rows:     op.rows.Load(),
 					Loops:    op.loops.Load(),

@@ -287,6 +287,8 @@ type evaluator struct {
 	// filter; projection decodes straight from the dictionary since its
 	// values rarely repeat.
 	terms map[store.ID]rdf.Term
+	// regexMemo caches REGEX results per (constraint, term).
+	regexMemo map[regexMemoKey]bool
 	// err records the first execution error; recursion unwinds by
 	// returning false once it is set.
 	err error
@@ -464,6 +466,14 @@ func (r *bgpRun) next(idx int) bool {
 		if pp.pid == store.Wildcard {
 			return true // predicate IRI unknown to the dictionary
 		}
+		if pp.text != nil && svar != "" && ovar != "" {
+			for _, t := range pp.text.cands {
+				if !f.cb(t) {
+					break
+				}
+			}
+			return f.cont
+		}
 		r.ev.src.ForEach(sid, pp.pid, oid, f.cb)
 		return f.cont
 	case pkVar:
@@ -630,6 +640,10 @@ func (ev *evaluator) constraintEval(c *plannedConstraint, s env) bool {
 			return !eq
 		}
 		return eq
+	}
+	if c.reVar != "" {
+		id, bound := s[c.reVar]
+		return bound && ev.regexMatch(c, id)
 	}
 	b := make(Binding, len(c.vars))
 	for _, v := range c.vars {

@@ -225,8 +225,9 @@ func isNumeric(t rdf.Term) bool {
 // flags are compile-time constants in the supported subset, so the regexp
 // compiles once at parse time.
 type regexExpr struct {
-	text Expr
-	re   *regexp.Regexp
+	text       Expr
+	re         *regexp.Regexp
+	pat, flags string // the pattern and flags literals as written
 }
 
 func (e regexExpr) Eval(b Binding) (Value, error) {
@@ -468,7 +469,7 @@ func (p *qparser) builtinCall() (Expr, error) {
 		if _, err := p.expect(tkRParen, "')'"); err != nil {
 			return nil, err
 		}
-		return regexExpr{text: text, re: re}, nil
+		return regexExpr{text: text, re: re, pat: pat.text, flags: flags}, nil
 	case "BOUND":
 		v, err := p.expect(tkVar, "variable")
 		if err != nil {

@@ -30,6 +30,11 @@ var (
 	// Misestimation feedback: analyzed executions whose worst operator
 	// estimate was off by at least the threshold factor.
 	obsMisestimate = obs.Default().Counter("mdw_sparql_misestimate_total")
+
+	// Text access path: regex-filtered patterns planned from posting
+	// lists, and those the path could not serve.
+	obsTextUsed     = obs.Default().Counter("mdw_sparql_text_access_total", "outcome", "used")
+	obsTextDeclined = obs.Default().Counter("mdw_sparql_text_access_total", "outcome", "declined")
 )
 
 func init() {
@@ -46,5 +51,6 @@ func init() {
 	r.SetHelp("mdw_sparql_parallel_workers_total", "Workers launched by parallel executions.")
 	r.SetHelp("mdw_sparql_parallel_morsels_total", "Candidate morsels dispatched by parallel BGP scans.")
 	r.SetHelp("mdw_sparql_parallel_path_levels_total", "BFS frontier levels expanded in parallel by path closures.")
+	r.SetHelp("mdw_sparql_text_access_total", "Regex-filtered triple patterns by text access path outcome: planned from full-text posting lists (used), or scanned because no current index covered them or another start was cheaper (declined).")
 	r.SetHelp("mdw_sparql_misestimate_total", "Analyzed executions whose worst per-operator estimate/actual ratio reached the misestimation threshold.")
 }

@@ -157,7 +157,7 @@ func (p *Plan) decidePar(o ParOptions) {
 			}
 			return
 		}
-		if pp.est < float64(o.SerialThreshold) {
+		if pp.est < float64(o.SerialThreshold) || pp.text != nil {
 			return
 		}
 		w := int(math.Ceil(pp.est / float64(o.MorselSize)))

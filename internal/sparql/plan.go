@@ -3,12 +3,14 @@ package sparql
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"strings"
 	"time"
 
 	"mdw/internal/rdf"
 	"mdw/internal/store"
+	"mdw/internal/textindex"
 )
 
 // Plan is the executable, explainable evaluation plan of a query: the
@@ -85,6 +87,9 @@ type patternPlan struct {
 	pvar string   // pk == pkVar: the predicate variable's name
 	// si is the operator's stat slot (assignStatSlots).
 	si int
+	// text, when set, is the pattern's text access path: the executor
+	// reads its candidates instead of scanning while ?s and ?v are unbound.
+	text *textAccess
 }
 
 // nodeRef is a subject/object position resolved at plan time: either a
@@ -152,6 +157,12 @@ type plannedConstraint struct {
 	fastID    store.ID
 	fastKnown bool // constant IRI exists in the dictionary
 	fastNeg   bool // != instead of =
+	// REGEX(?v, ...) over a plain variable: reVar names it and re is the
+	// compiled pattern, evaluated once per term (evaluator.regexMatch).
+	// textLit is the literal when the text access path can serve it.
+	reVar   string
+	re      *regexp.Regexp
+	textLit string
 	// si is the operator's stat slot (assignStatSlots).
 	si int
 }
@@ -211,6 +222,12 @@ type planner struct {
 	src  store.Source
 	dict *store.Dict
 	plan *Plan
+	// Text access paths by pattern, and the source's full-text index,
+	// requested at most once (tixAsked) and only by a group with a
+	// text-servable regex constraint.
+	text     map[*TriplePattern]*textAccess
+	tix      *textindex.Index
+	tixAsked bool
 }
 
 // group plans one GroupPattern under the given certainly-bound variable
@@ -228,7 +245,7 @@ func (pl *planner) group(g *GroupPattern, certainIn varset) (*planGroup, varset)
 	// Gather the group's constraints with their placement requirements.
 	// The bindable set is only materialized when the group actually has
 	// constraints: filter-free queries (the common case) plan without it.
-	var pending []*plannedConstraint
+	var pending, regexes []*plannedConstraint
 	var bindable varset
 	for _, el := range g.Elements {
 		switch e := el.(type) {
@@ -244,6 +261,10 @@ func (pl *planner) group(g *GroupPattern, certainIn varset) (*planGroup, varset)
 				}
 			}
 			pl.detectFastPath(c)
+			detectRegex(c)
+			if c.textLit != "" {
+				regexes = append(regexes, c)
+			}
 			pending = append(pending, c)
 		case *ExistsFilter:
 			if bindable == nil {
@@ -289,17 +310,33 @@ func (pl *planner) group(g *GroupPattern, certainIn varset) (*planGroup, varset)
 		blockDone:
 			pl.checkConnected(block)
 			bgp := &bgpStep{}
+			start := -1
+			if pl.textAccessPaths(block, regexes) {
+				start = pl.cheapestStart(block, certain)
+			}
 			remaining := block // freshly built above; safe to consume
 			for len(remaining) > 0 {
 				best, bestEst := 0, math.Inf(1)
-				for j, tp := range remaining {
-					if est := pl.estimate(tp, certain); est < bestEst {
-						best, bestEst = j, est
+				if start >= 0 {
+					best, bestEst = start, pl.estimate(remaining[start], certain)
+					start = -1
+				} else {
+					for j, tp := range remaining {
+						if est := pl.estimate(tp, certain); est < bestEst {
+							best, bestEst = j, est
+						}
 					}
 				}
 				tp := remaining[best]
 				remaining = append(remaining[:best], remaining[best+1:]...)
 				pp := &patternPlan{tp: tp, est: bestEst}
+				if pl.text[tp] != nil {
+					if pp.text = pl.textOpen(tp, certain); pp.text != nil {
+						obsTextUsed.Inc()
+					} else {
+						obsTextDeclined.Inc()
+					}
+				}
 				pl.resolvePattern(pp)
 				bgp.patterns = append(bgp.patterns, pp)
 				if tp.S.IsVar() {
@@ -502,6 +539,9 @@ func (pl *planner) checkConnected(block []*TriplePattern) {
 func (pl *planner) estimate(tp *TriplePattern, certain varset) float64 {
 	if pl.src == nil || pl.dict == nil {
 		return pl.heuristicEstimate(tp, certain)
+	}
+	if a := pl.textOpen(tp, certain); a != nil {
+		return float64(len(a.cands))
 	}
 	sID, sConst, sBound, sKnown := pl.resolvePlanNode(tp.S, certain)
 	oID, oConst, oBound, oKnown := pl.resolvePlanNode(tp.O, certain)
@@ -797,9 +837,9 @@ func (p *Plan) renderGroup(b *strings.Builder, g *planGroup, depth int, rec *exe
 		case *bgpStep:
 			fmt.Fprintf(b, "%sBGP (%d patterns, join order):\n", pad, len(s.patterns))
 			for n, pp := range s.patterns {
-				fmt.Fprintf(b, "%s  %d. %s %s %s%s\n", pad, n+1,
+				fmt.Fprintf(b, "%s  %d. %s %s %s%s%s\n", pad, n+1,
 					explainNode(pp.tp.S), explainPath(pp.tp.P), explainNode(pp.tp.O),
-					p.patternLabel(pp, rec))
+					p.patternLabel(pp, rec), pp.accessLabel())
 				for _, c := range pp.pushed {
 					p.renderConstraint(b, c, depth+2, rec)
 				}
@@ -887,6 +927,15 @@ func stepLabel(si int, rec *execStatsRec) string {
 	}
 	op := &rec.ops[si]
 	return fmt.Sprintf(" [in=%d actual=%d]", op.loops.Load(), op.rows.Load())
+}
+
+// accessLabel names the pattern's text access path with its posting
+// count.
+func (pp *patternPlan) accessLabel() string {
+	if pp.text == nil {
+		return ""
+	}
+	return fmt.Sprintf("  text index %q: est=%d", pp.text.lit, len(pp.text.cands))
 }
 
 func (p *Plan) estLabel(est float64) string {

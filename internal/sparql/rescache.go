@@ -54,7 +54,8 @@ func sourceGenKey(src store.Source) (string, bool) {
 	switch s := src.(type) {
 	case *store.Model:
 		models = []*store.Model{s}
-	case *store.View:
+	case interface{ Models() []*store.Model }:
+		// A *store.View, or a source embedding one (core's query view).
 		models = s.Models()
 	default:
 		return "", false

@@ -31,6 +31,7 @@
 package textindex
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -172,6 +173,33 @@ func Tokenize(s string) []string {
 		out = append(out, s[start:])
 	}
 	return out
+}
+
+// foldClassMixed lists the runes whose unicode.SimpleFold orbit mixes
+// letter/digit and other characters: U+0345 COMBINING GREEK
+// YPOGEGRAMMENI (a mark) folds together with the iotas Ι, ι and U+1FBE
+// (letters). TestFoldOrbitsExhaustive derives this set from the Unicode
+// tables and fails when a Go release changes it.
+var foldClassMixed = map[rune]bool{0x0345: true, 0x0399: true, 0x03B9: true, 0x1FBE: true}
+
+// Pushable reports whether Containing's postings are complete for the
+// regex literal lit, matched case-sensitively or under (?i): lit must
+// fold to exactly one token (a letter/digit run, hence free of regex
+// metacharacters) and contain no rune of a case-fold orbit that mixes
+// character classes. Fold maps rune by rune and agrees across every
+// SimpleFold orbit, so every text the regex matches holds Fold(lit)
+// inside one token of its folded text (DESIGN.md, "Text access path").
+func Pushable(lit string) bool {
+	f := Fold(lit)
+	if toks := Tokenize(f); len(toks) != 1 || toks[0] != f {
+		return false
+	}
+	for _, r := range lit {
+		if foldClassMixed[r] {
+			return false
+		}
+	}
+	return true
 }
 
 func uniqueTokens(toks []string) []string {
@@ -415,6 +443,44 @@ func (ix *Index) TokensContaining(sub string) []string {
 	return out
 }
 
+// Indexes reports whether the index covers predicate pred.
+func (ix *Index) Indexes(pred store.ID) bool {
+	_, ok := ix.field[pred]
+	return ok
+}
+
+// Containing returns the postings of predicate pred with a token that
+// contains sub (folded), each once, in (Subject, Pred, Object) order.
+// Postings of texts that contain sub only across a token boundary are
+// missing; Pushable says when that cannot happen.
+func (ix *Index) Containing(pred store.ID, sub string) []Posting {
+	return ix.containing(sub, func(p Posting) bool { return p.Pred == pred })
+}
+
+// containing returns the postings keep accepts among those with a token
+// that contains sub (folded), each once, in (Subject, Pred, Object)
+// order.
+func (ix *Index) containing(sub string, keep func(Posting) bool) []Posting {
+	vts := ix.TokensContaining(sub)
+	var out []Posting
+	if len(vts) == 1 {
+		out = make([]Posting, 0, len(ix.post[vts[0]]))
+	}
+	for _, vt := range vts {
+		for _, p := range ix.post[vt] {
+			if keep(p) {
+				out = append(out, p)
+			}
+		}
+	}
+	if len(vts) > 1 {
+		// A literal appears in the list of each of its distinct tokens.
+		sortPostingList(out)
+		out = slices.Compact(out)
+	}
+	return out
+}
+
 // Search returns the postings of the given field whose literal text
 // contains term under case-folded substring semantics — exactly the
 // matches of the paper's regexp_like(text, term, 'i') scan. Results are
@@ -427,32 +493,7 @@ func (ix *Index) Search(term string, field Field) []Posting {
 		// are contiguous runs of the folded text, so any posting whose
 		// vocabulary token contains the term already contains the term in
 		// its text — candidates ARE matches, no verification needed.
-		vts := ix.TokensContaining(folded)
-		if len(vts) == 1 {
-			list := ix.post[vts[0]] // pre-sorted
-			out := make([]Posting, 0, len(list))
-			for _, p := range list {
-				if ix.field[p.Pred] == field {
-					out = append(out, p)
-				}
-			}
-			return out
-		}
-		seen := map[Posting]struct{}{}
-		var out []Posting
-		for _, vt := range vts {
-			for _, p := range ix.post[vt] {
-				if ix.field[p.Pred] != field {
-					continue
-				}
-				if _, dup := seen[p]; !dup {
-					seen[p] = struct{}{}
-					out = append(out, p)
-				}
-			}
-		}
-		sortPostingList(out)
-		return out
+		return ix.containing(folded, func(p Posting) bool { return ix.field[p.Pred] == field })
 	}
 	cands := ix.candidates(folded, field)
 	out := cands[:0]
